@@ -204,6 +204,13 @@ def is_discriminant(D: int) -> bool:
     return D < 0 and D % 4 in (0, 1)
 
 
+def discriminants_upto(bound: int):
+    """All negative discriminants with |D| <= bound, by increasing |D|."""
+    for n in range(3, bound + 1):
+        if n % 4 in (0, 3):
+            yield -n
+
+
 def is_fundamental_discriminant(D: int) -> bool:
     """True iff D is the discriminant of a maximal imaginary quadratic order."""
     if not is_discriminant(D):

@@ -8,20 +8,17 @@ failure, 3 cap exceeded.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable
 
 from . import harness
-from .arith import is_fundamental_discriminant, is_prime, kronecker
+from .arith import discriminants_upto, is_fundamental_discriminant, is_prime, kronecker
 from .classpoly import hilbert_class_polynomial, verify_prop23
 from .errors import CapExceeded, HcpkitError, NotFound, PreconditionFailed, UnsupportedLevel
 from .ffexperiments import find_common_cm_point, gcd_degree_growth
 from .finitefield import FqPoly, fq_context, lift_poly, supersingular_polynomial, michel_counts
-from .harness import CSV_HEADER, ExperimentRecord
+from .harness import ExperimentRecord, csv_row_writer, write_json
 from .modpoly import kronecker_congruence_check, modular_polynomial
 from .qfield import verify_thm54
 from .quadforms import class_number
@@ -35,21 +32,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _CsvEmitter:
+    # the header waits for the first row, so a run failing before it prints nothing
     def __init__(self, fh):
-        self._writer = csv.writer(fh, lineterminator="\n")
-        self._started = False
+        self._fh = fh
+        self._write_row = None
 
     def emit(self, rec: ExperimentRecord) -> None:
-        if not self._started:
-            self._writer.writerow(CSV_HEADER)
-            self._started = True
-        self._writer.writerow(rec.as_csv_row())
+        if self._write_row is None:
+            self._write_row = csv_row_writer(self._fh)
+        self._write_row(rec)
 
     def close(self) -> None:
         # a completed run always yields a well-formed table, even when empty
-        if not self._started:
-            self._writer.writerow(CSV_HEADER)
-            self._started = True
+        if self._write_row is None:
+            self._write_row = csv_row_writer(self._fh)
 
 
 class _JsonEmitter:
@@ -61,8 +57,7 @@ class _JsonEmitter:
         self._records.append(rec)
 
     def close(self) -> None:
-        json.dump([rec.as_json_obj() for rec in self._records], self._fh, indent=2)
-        self._fh.write("\n")
+        write_json(self._records, self._fh)
 
 
 Emit = Callable[[ExperimentRecord], None]
@@ -84,20 +79,6 @@ def _parse_poly(text: str) -> FqPoly:
     field = fq_context(p, 1)
     coeffs = [int(tok) for tok in body.split(",") if tok]
     return FqPoly(field, coeffs)
-
-
-def _threads(args) -> int:
-    return args.threads if args.threads else (os.cpu_count() or 1)
-
-
-def _map_ordered(worker, items, threads: int):
-    """Apply worker over items, in parallel when asked, preserving order."""
-    if threads <= 1 or len(items) <= 1:
-        for item in items:
-            yield worker(item)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(worker, items)
 
 
 # ---------------------------------------------------------------------------
@@ -164,16 +145,14 @@ def cmd_kronecker_congruence(args, emit: Emit) -> int:
 
 
 def cmd_michel(args, emit: Emit) -> int:
-    ds = [
-        D
-        for D in harness.discriminants_upto(args.D_cap)
-        if is_fundamental_discriminant(D) and class_number(D) <= args.h_cap
-    ]
-
-    def rows_for(D):
-        hilbert_class_polynomial(D, cache_dir=args.cache_dir)
+    failed = False
+    for D in discriminants_upto(args.D_cap):
+        if not is_fundamental_discriminant(D):
+            continue
         h = class_number(D)
-        out = []
+        if args.h_cap and h > args.h_cap:
+            continue
+        hilbert_class_polynomial(D, cache_dir=args.cache_dir)
         for p in args.p:
             if kronecker(D, p) != -1:
                 continue
@@ -182,19 +161,11 @@ def cmd_michel(args, emit: Emit) -> int:
             ss = lift_poly(supersingular_polynomial(p), ext)
             contained = all(ss.evaluate(r).is_zero for r in counts)
             ok = contained and sum(counts.values()) == h
+            failed = failed or not ok
             value = ";".join(
                 f"{r.encoding}:{m}" for r, m in sorted(counts.items(), key=lambda kv: kv[0].encoding)
             )
-            out.append(
-                ExperimentRecord("michel", {"p": p}, D=D, h=h, value=value, passed=ok)
-            )
-        return out
-
-    failed = False
-    for chunk in _map_ordered(rows_for, ds, _threads(args)):
-        for rec in chunk:
-            failed = failed or rec.passed is False
-            emit(rec)
+            emit(ExperimentRecord("michel", {"p": p}, D=D, h=h, value=value, passed=ok))
     return 2 if failed else 0
 
 
@@ -230,26 +201,24 @@ def cmd_support_multiplicative(args, emit: Emit) -> int:
 
 
 def cmd_thm54(args, emit: Emit) -> int:
-    ds = [
-        D
-        for D in harness.discriminants_upto(args.D_cap)
-        if D % 8 == 1 and class_number(D) <= args.h_cap
-    ]
-
-    def row_for(D):
-        report = verify_thm54(D, h_cap=args.h_cap, cache_dir=args.cache_dir)
-        return ExperimentRecord(
-            "thm54",
-            {"forward": report.forward, "backward": report.backward},
-            D=D,
-            h=class_number(D),
-            passed=report.both,
-        )
-
     failed = False
-    for rec in _map_ordered(row_for, ds, _threads(args)):
-        failed = failed or rec.passed is False
-        emit(rec)
+    for D in discriminants_upto(args.D_cap):
+        if D % 8 != 1:
+            continue
+        h = class_number(D)
+        if args.h_cap and h > args.h_cap:
+            continue
+        report = verify_thm54(D, h_cap=args.h_cap, cache_dir=args.cache_dir)
+        failed = failed or not report.both
+        emit(
+            ExperimentRecord(
+                "thm54",
+                {"forward": report.forward, "backward": report.backward},
+                D=D,
+                h=h,
+                passed=report.both,
+            )
+        )
     return 2 if failed else 0
 
 
@@ -319,8 +288,9 @@ def build_parser() -> _Parser:
         default=os.environ.get("HCPKIT_CACHE", "./hd_cache"),
         help="Hilbert class polynomial cache directory",
     )
-    parser.add_argument("--h-cap", type=int, default=2000, dest="h_cap")
-    parser.add_argument("--threads", type=int, default=0, help="0 means all available")
+    parser.add_argument(
+        "--h-cap", type=int, default=2000, dest="h_cap", help="class number cap; 0 means none"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("classnum", help="class number of a discriminant")

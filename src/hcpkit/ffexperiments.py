@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 
+from .arith import discriminants_upto
 from .classpoly import hilbert_class_polynomial
 from .errors import CapExceeded, NotFound, PreconditionFailed, SupersingularInput
 from .finitefield import (
@@ -68,13 +69,6 @@ def _extract_p_power(f: FqPoly) -> tuple[FqPoly, int]:
         f = FqPoly(field, coeffs)
         e += 1
     return f, e
-
-
-def discriminants_upto(bound: int):
-    """All negative discriminants with |D| <= bound, by increasing |D|."""
-    for n in range(3, bound + 1):
-        if n % 4 in (0, 3):
-            yield -n
 
 
 def _ss_discriminant(j0: FqElement, bound: int) -> int:

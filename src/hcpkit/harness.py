@@ -18,11 +18,17 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .arith import factorize, is_fundamental_discriminant, is_prime, kronecker, support_subset_int
+from .arith import (
+    discriminants_upto,
+    factorize,
+    is_fundamental_discriminant,
+    is_prime,
+    kronecker,
+    support_subset_int,
+)
 from .classpoly import hilbert_class_polynomial
 from .cyclomult import cyclotomic_value
 from .errors import NotFound, PreconditionFailed
-from .ffexperiments import discriminants_upto
 from .finitefield import deuring_discriminants, fq_context, supersingular_polynomial
 from .intpoly import IntPolynomial
 from .quadforms import class_number
@@ -85,22 +91,22 @@ def _json_value(v):
 CSV_HEADER = ["experiment", "D", "h", "param1", "param2", "value", "pass"]
 
 
-def write_csv(records: Iterable[ExperimentRecord], fh) -> None:
+def csv_row_writer(fh) -> Callable[[ExperimentRecord], None]:
+    """Write the CSV header to fh; return a function writing one record per row."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_HEADER)
+    return lambda rec: writer.writerow(rec.as_csv_row())
+
+
+def write_csv(records: Iterable[ExperimentRecord], fh) -> None:
+    write_row = csv_row_writer(fh)
     for rec in records:
-        writer.writerow(rec.as_csv_row())
+        write_row(rec)
 
 
 def write_json(records: Iterable[ExperimentRecord], fh) -> None:
     json.dump([rec.as_json_obj() for rec in records], fh, indent=2)
     fh.write("\n")
-
-
-def _give(rec: ExperimentRecord, out: list[ExperimentRecord], sink: Sink) -> None:
-    out.append(rec)
-    if sink is not None:
-        sink(rec)
 
 
 # ---------------------------------------------------------------------------
@@ -164,22 +170,20 @@ def gcd_growth_rational(
         g = math.gcd(abs(poly.evaluate(a)), abs(poly.evaluate(b)))
         r = math.log(g) / h
         best = r if best is None or r > best else best
-        _give(
-            ExperimentRecord("gcd-growth", {"a": a, "b": b}, D=D, h=h, value=r),
-            records,
-            sink,
-        )
+        records.append(ExperimentRecord("gcd-growth", {"a": a, "b": b}, D=D, h=h, value=r))
+        if sink is not None:
+            sink(records[-1])
     target = 0.5 * math.log(p) / (p - 1)
-    _give(
+    records.append(
         ExperimentRecord(
             "gcd-growth-summary",
             {"p": p, "target": repr(target)},
             value=best if best is not None else "",
             passed=None if best is None else best >= target,
-        ),
-        records,
-        sink,
+        )
     )
+    if sink is not None:
+        sink(records[-1])
     return records
 
 
@@ -220,6 +224,24 @@ def _violation_witness(x: int, y: int, factor_bound: int = 1 << 17):
     return f"composite residue {fac.cofactor}"
 
 
+def _support_scan(experiment: str, grid, sink: Sink) -> list[tuple[object, object]]:
+    """Support containment of x into y at each (key, fields, x, y) of grid.
+
+    Each grid point becomes one record, built from the record fields plus
+    the verdict, with the witness as its value, and goes to the sink; the
+    violations come back as (key, witness) pairs.
+    """
+    violations: list[tuple[object, object]] = []
+    for key, fields, x, y in grid:
+        ok = support_subset_int(x, y)
+        witness = "" if ok else _violation_witness(x, y)
+        if not ok:
+            violations.append((key, witness))
+        if sink is not None:
+            sink(ExperimentRecord(experiment, value=witness, passed=ok, **fields))
+    return violations
+
+
 def support_scan_modular(
     j: int,
     j2: int,
@@ -230,27 +252,27 @@ def support_scan_modular(
 ) -> list[tuple[int, object]]:
     """Violations of support containment H_D(j) into H_D(j2) over the
     discriminant grid; each violation carries one witness prime."""
-    violations: list[tuple[int, object]] = []
-    records: list[ExperimentRecord] = []
-    for D in discriminants_upto(D_cap):
-        h = class_number(D)
-        if h_cap and h > h_cap:
-            continue
-        poly = hilbert_class_polynomial(D, cache_dir=cache_dir)
-        x = poly.evaluate(j)
-        y = poly.evaluate(j2)
-        ok = support_subset_int(x, y)
-        witness = "" if ok else _violation_witness(x, y)
-        if not ok:
-            violations.append((D, witness))
-        _give(
-            ExperimentRecord(
-                "support-modular", {"j": j, "j2": j2}, D=D, h=h, value=witness, passed=ok
-            ),
-            records,
-            sink,
-        )
-    return violations
+
+    def grid():
+        for D in discriminants_upto(D_cap):
+            h = class_number(D)
+            if h_cap and h > h_cap:
+                continue
+            poly = hilbert_class_polynomial(D, cache_dir=cache_dir)
+            fields = {"parameters": {"j": j, "j2": j2}, "D": D, "h": h}
+            yield D, fields, poly.evaluate(j), poly.evaluate(j2)
+
+    return _support_scan("support-modular", grid(), sink)
+
+
+def _exponent_grid(a: int, b: int, n_max: int, S: Iterable[int], f):
+    """Grid points n <= n_max comparing f(n, a) with f(n, b), primes in S removed."""
+    if a == 0 or b == 0:
+        raise PreconditionFailed("a and b must be nonzero")
+    S = sorted(set(S))
+    for n in range(1, n_max + 1):
+        fields = {"parameters": {"n": n, "ab": f"{a},{b}"}}
+        yield n, fields, _strip_primes(f(n, a), S), _strip_primes(f(n, b), S)
 
 
 def support_scan_cyclotomic(
@@ -262,26 +284,8 @@ def support_scan_cyclotomic(
 ) -> list[tuple[int, object]]:
     """Violations of support containment between cyclotomic values at a
     and b for n <= n_max, ignoring primes in S."""
-    if a == 0 or b == 0:
-        raise PreconditionFailed("a and b must be nonzero")
-    S = sorted(set(S))
-    violations: list[tuple[int, object]] = []
-    records: list[ExperimentRecord] = []
-    for n in range(1, n_max + 1):
-        x = _strip_primes(cyclotomic_value(n, a), S)
-        y = _strip_primes(cyclotomic_value(n, b), S)
-        ok = support_subset_int(x, y)
-        witness = "" if ok else _violation_witness(x, y)
-        if not ok:
-            violations.append((n, witness))
-        _give(
-            ExperimentRecord(
-                "support-cyclotomic", {"n": n, "ab": f"{a},{b}"}, value=witness, passed=ok
-            ),
-            records,
-            sink,
-        )
-    return violations
+    grid = _exponent_grid(a, b, n_max, S, cyclotomic_value)
+    return _support_scan("support-cyclotomic", grid, sink)
 
 
 def support_scan_multiplicative(
@@ -292,26 +296,8 @@ def support_scan_multiplicative(
     sink: Sink = None,
 ) -> list[tuple[int, object]]:
     """Same scan with a^n - 1 and b^n - 1 in place of cyclotomic values."""
-    if a == 0 or b == 0:
-        raise PreconditionFailed("a and b must be nonzero")
-    S = sorted(set(S))
-    violations: list[tuple[int, object]] = []
-    records: list[ExperimentRecord] = []
-    for n in range(1, n_max + 1):
-        x = _strip_primes(a**n - 1, S)
-        y = _strip_primes(b**n - 1, S)
-        ok = support_subset_int(x, y)
-        witness = "" if ok else _violation_witness(x, y)
-        if not ok:
-            violations.append((n, witness))
-        _give(
-            ExperimentRecord(
-                "support-multiplicative", {"n": n, "ab": f"{a},{b}"}, value=witness, passed=ok
-            ),
-            records,
-            sink,
-        )
-    return violations
+    grid = _exponent_grid(a, b, n_max, S, lambda n, x: x**n - 1)
+    return _support_scan("support-multiplicative", grid, sink)
 
 
 def support_subset_poly(A: IntPolynomial, B: IntPolynomial) -> bool:
@@ -358,7 +344,6 @@ def ordinary_scan(
     if j in moduli:
         raise PreconditionFailed(f"j = {j} is the singular modulus of D = {moduli[j]}")
     out: list[tuple[int, int]] = []
-    records: list[ExperimentRecord] = []
     for q in range(2, q_max + 1):
         if not is_prime(q):
             continue
@@ -375,11 +360,10 @@ def ordinary_scan(
         if value % q:
             raise ArithmeticError(f"q = {q} does not divide H_{D_q}({j}); search bug")
         out.append((q, D_q))
-        _give(
-            ExperimentRecord(
-                "ordinary-scan", {"j": j, "q": q}, D=D_q, h=class_number(D_q), passed=True
-            ),
-            records,
-            sink,
-        )
+        if sink is not None:
+            sink(
+                ExperimentRecord(
+                    "ordinary-scan", {"j": j, "q": q}, D=D_q, h=class_number(D_q), passed=True
+                )
+            )
     return out

@@ -117,6 +117,11 @@ class TestVerifyingCommands:
             ["michel", "-8", "1", "p=7", "", "6:1", "true"],
         ]
 
+    def test_michel_h_cap_zero_means_no_cap(self, run):
+        rc, out, _ = run("--h-cap", "0", "michel", "--D-cap", "8", "--p", "7")
+        assert rc == 0
+        assert [r[1] for r in rows_of(out)] == ["-4", "-8"]
+
     def test_thm54_rows(self, run):
         rc, out, _ = run("thm54", "--D-cap", "23")
         assert rc == 0
@@ -124,6 +129,11 @@ class TestVerifyingCommands:
         assert [r[1] for r in rows] == ["-7", "-15", "-23"]
         assert all(r[3] == "forward=True" and r[4] == "backward=True" for r in rows)
         assert all(r[6] == "true" for r in rows)
+
+    def test_thm54_h_cap_zero_means_no_cap(self, run):
+        rc, out, _ = run("--h-cap", "0", "thm54", "--D-cap", "23")
+        assert rc == 0
+        assert [r[1] for r in rows_of(out)] == ["-7", "-15", "-23"]
 
     def test_gcd_growth_summary(self, run):
         rc, out, _ = run("gcd-growth", "--a", "2", "--b", "4", "--p", "2", "--D-cap", "40")
@@ -258,16 +268,3 @@ class TestErrorHandling:
             main(["prop23", "--D", "-7;x", "--p", "2", "--n", "1"])
         assert exc.value.code == 1
 
-
-class TestThreading:
-    def test_threaded_michel_matches_serial(self, run):
-        rc1, out1, _ = run("--threads", "1", "michel", "--D-cap", "40", "--p", "5,7")
-        rc2, out2, _ = run("--threads", "4", "michel", "--D-cap", "40", "--p", "5,7")
-        assert rc1 == rc2 == 0
-        assert out1 == out2
-
-    def test_threaded_thm54_matches_serial(self, run):
-        rc1, out1, _ = run("--threads", "1", "thm54", "--D-cap", "40")
-        rc2, out2, _ = run("--threads", "4", "thm54", "--D-cap", "40")
-        assert rc1 == rc2 == 0
-        assert out1 == out2

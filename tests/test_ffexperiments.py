@@ -6,11 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from hcpkit.arith import discriminants_upto
 from hcpkit.classpoly import hilbert_class_polynomial
 from hcpkit.errors import CapExceeded, NotFound, PreconditionFailed
 from hcpkit.ffexperiments import (
     compose_mod_p,
-    discriminants_upto,
     find_common_cm_point,
     gcd_degree_growth,
     gcd_ffchar0,

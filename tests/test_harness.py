@@ -154,6 +154,39 @@ class TestGcdGrowthRational:
             gcd_growth_rational(2, 4, 6, 40)
 
 
+# driver, arguments, experiment name, grid key of a record, the grid keys in
+# order, and the two parameter slots expected at a key
+SCAN_CASES = [
+    pytest.param(
+        support_scan_modular,
+        (0, 1728, 8),
+        "support-modular",
+        lambda r: r.D,
+        [-3, -4, -7, -8],
+        lambda D: ["j=0", "j2=1728"],
+        id="modular",
+    ),
+    pytest.param(
+        support_scan_cyclotomic,
+        (2, 4, 8),
+        "support-cyclotomic",
+        lambda r: r.parameters["n"],
+        list(range(1, 9)),
+        lambda n: [f"n={n}", "ab=2,4"],
+        id="cyclotomic",
+    ),
+    pytest.param(
+        support_scan_multiplicative,
+        (2, 3, 4),
+        "support-multiplicative",
+        lambda r: r.parameters["n"],
+        [1, 2, 3, 4],
+        lambda n: [f"n={n}", "ab=2,3"],
+        id="multiplicative",
+    ),
+]
+
+
 class TestSupportScans:
     def test_modular_self_scan_is_empty(self):
         assert support_scan_modular(2, 2, 50) == []
@@ -161,12 +194,15 @@ class TestSupportScans:
     def test_modular_frozen_violations(self):
         assert support_scan_modular(0, 1728, 8) == [(-3, 5), (-7, 5), (-8, 5)]
 
-    def test_modular_records_carry_witness(self):
+    @pytest.mark.parametrize("driver, args, experiment, key, keys, slots", SCAN_CASES)
+    def test_records_carry_witness(self, driver, args, experiment, key, keys, slots):
         seen = []
-        support_scan_modular(0, 1728, 4, sink=seen.append)
-        by_d = {r.D: r for r in seen}
-        assert by_d[-3].passed is False and by_d[-3].value == 5
-        assert by_d[-4].passed is True and by_d[-4].value == ""
+        violations = driver(*args, sink=seen.append)
+        assert violations
+        assert [key(r) for r in seen] == keys
+        assert all(r.experiment == experiment for r in seen)
+        assert [(key(r), r.value) for r in seen if r.passed is False] == violations
+        assert all(r.passed is True and r.value == "" for r in seen if r.passed is not False)
 
     def test_cyclotomic_frozen_violations(self):
         assert support_scan_cyclotomic(2, 4, 8) == [(2, 3), (4, 5), (6, 3), (8, 17)]
@@ -181,11 +217,11 @@ class TestSupportScans:
     def test_multiplicative_frozen_violations(self):
         assert support_scan_multiplicative(2, 3, 4) == [(2, 3), (3, 7), (4, 3)]
 
-    def test_scan_record_parameters_fit_two_slots(self):
+    @pytest.mark.parametrize("driver, args, experiment, key, keys, slots", SCAN_CASES)
+    def test_scan_record_parameters_fit_two_slots(self, driver, args, experiment, key, keys, slots):
         seen = []
-        support_scan_cyclotomic(2, 4, 3, sink=seen.append)
-        assert seen[0].as_csv_row()[3] == "n=1"
-        assert seen[0].as_csv_row()[4] == "ab=2,4"
+        driver(*args, sink=seen.append)
+        assert [r.as_csv_row()[3:5] for r in seen] == [slots(k) for k in keys]
 
     def test_rejects_zero_base(self):
         with pytest.raises(PreconditionFailed):
