@@ -2,10 +2,11 @@
 
 H_D is assembled as the product of (T - j(tau)) over the reduced forms of
 discriminant D in complex arithmetic at required_precision(D), with every
-coefficient rounded to the nearest integer. A rounding residual of 0.25
-or worse triggers a retry at doubled precision (three retries, then
-PrecisionExhausted). Cache files are plain text with a CRC-64/XZ trailer
-and are written via atomic rename.
+coefficient rounded to the nearest integer. The expansion, the 0.25
+rounding gate and the doubling retry ladder (three retries, then
+PrecisionExhausted) are modfunc's, shared with the modular polynomials.
+Cache files are plain text with a CRC-64/XZ trailer and are written via
+atomic rename.
 """
 
 from __future__ import annotations
@@ -19,62 +20,31 @@ from pathlib import Path
 from mpmath import mp
 
 from .arith import is_discriminant, is_prime, kronecker
-from .errors import CapExceeded, CorruptCache, PrecisionExhausted
+from .errors import CapExceeded, CorruptCache
 from .intpoly import IntPolynomial
-from .modfunc import MP_LOCK, j_tau, required_precision
+from .modfunc import (
+    MP_LOCK,
+    j_tau,
+    linear_product,
+    required_precision,
+    retry_doubling,
+    round_real_coeffs,
+)
 from .quadforms import class_number, reduced_forms, unit_group_order
 
 _memo: dict[int, IntPolynomial] = {}
 _memo_lock = threading.Lock()
-
-MAX_RETRIES = 3
-
-
-def _product_tree(factors: list[list]) -> list:
-    """Multiply monic linear factors pairwise to keep rounding error flat."""
-    while len(factors) > 1:
-        nxt = []
-        for i in range(0, len(factors) - 1, 2):
-            a, b = factors[i], factors[i + 1]
-            out = [mp.mpc(0)] * (len(a) + len(b) - 1)
-            for ia, ca in enumerate(a):
-                for ib, cb in enumerate(b):
-                    out[ia + ib] += ca * cb
-            nxt.append(out)
-        if len(factors) % 2:
-            nxt.append(factors[-1])
-        factors = nxt
-    return factors[0]
-
-
-def round_real_coeffs(coeffs, prec: int) -> list[int] | None:
-    """Round complex coefficients to ints; None when the evidence is weak.
-
-    Acceptance needs the imaginary part below 2^-(prec/2) relative to the
-    coefficient and the real part within 0.25 of an integer.
-    """
-    out = []
-    imag_tol = mp.ldexp(1, -(prec // 2))
-    for c in coeffs:
-        re, im = mp.re(c), mp.im(c)
-        if abs(im) > imag_tol * max(1, abs(re)):
-            return None
-        n = mp.nint(re)
-        if abs(re - n) >= 0.25:
-            return None
-        out.append(int(n))
-    return out
 
 
 def _assemble(D: int, prec: int) -> IntPolynomial | None:
     forms = reduced_forms(D)
     with MP_LOCK, mp.workprec(prec + 32):
         sqrt_abs_d = mp.sqrt(-D)
-        factors = []
+        roots = []
         for f in forms:
             tau = mp.mpc(mp.mpf(-f.b) / (2 * f.a), sqrt_abs_d / (2 * f.a))
-            factors.append([-j_tau(tau, prec), mp.mpc(1)])
-        coeffs = _product_tree(factors)
+            roots.append(j_tau(tau, prec))
+        coeffs = linear_product(roots)
         ints = round_real_coeffs(coeffs, prec)
     if ints is None:
         return None
@@ -112,14 +82,7 @@ def hilbert_class_polynomial(
                     _memo[D] = cached
                 return cached
     prec = prec_bits if prec_bits is not None else required_precision(D)
-    poly = None
-    for _ in range(MAX_RETRIES + 1):
-        poly = _assemble(D, prec)
-        if poly is not None:
-            break
-        prec *= 2
-    if poly is None:
-        raise PrecisionExhausted(f"H_{D} did not round cleanly after {MAX_RETRIES} retries")
+    poly = retry_doubling(lambda p: _assemble(D, p), prec, f"H_{D}")
     if prec_bits is None:
         with _memo_lock:
             _memo[D] = poly

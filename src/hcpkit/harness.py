@@ -218,6 +218,14 @@ def _violation_witness(x: int, y: int, factor_bound: int = 1 << 17):
     if yy:
         while (g := math.gcd(z, yy)) > 1:
             z //= g
+    # Trial division meets divisors in increasing order, so the first is
+    # prime, and it is below any prime that rho could split off the rest:
+    # it is the least witness, and rho need not run.
+    q = 2
+    while q <= factor_bound and q * q <= z:
+        if z % q == 0:
+            return q
+        q += 1 if q == 2 else 2
     fac = factorize(z, factor_bound)
     if fac.factors:
         return min(q for q, _ in fac.factors)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -21,10 +21,6 @@ class IntPolynomial:
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[int]) -> IntPolynomial:
-        return cls(tuple(coeffs))
 
     @classmethod
     def constant(cls, c: int) -> IntPolynomial:

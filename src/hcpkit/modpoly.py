@@ -4,8 +4,9 @@ Phi_N is recovered by evaluate-and-interpolate: at sample points on the
 imaginary axis the product over the N+1 index-N sublattices is expanded
 in X, and each X-coefficient, a degree <= N+1 polynomial in Y = j(tau),
 is solved for through a Vandermonde system in the sampled j values. One
-extra sample is held out as a consistency probe. Rounding follows the
-same 0.25-residual, doubling-retry policy as the class polynomials.
+extra sample is held out as a consistency probe. The product expansion,
+the 0.25 rounding gate and the doubling retry ladder are modfunc's, the
+same code that assembles the class polynomials.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from mpmath import mp
 
 from .arith import is_prime
 from .errors import PrecisionExhausted, UnsupportedLevel
-from .modfunc import MP_LOCK, j_tau
+from .modfunc import MP_LOCK, j_tau, linear_product, retry_doubling, round_real_coeffs
 
 SUPPORTED_LEVELS = (1, 2, 3, 5, 7)
-MAX_RETRIES = 3
 
 
 class BivarIntPolynomial:
@@ -103,15 +103,8 @@ def _phi_attempt(N: int, prec: int) -> BivarIntPolynomial | None:
             for k in range(N):
                 sub_js.append(j_tau(_reduce_fundamental((tau + k) / N), prec))
             sub_js.append(j_tau(_reduce_fundamental(N * tau), prec))
-            poly = [mp.mpc(1)]
-            for r in sub_js:
-                nxt = [mp.mpc(0)] * (len(poly) + 1)
-                for i, c in enumerate(poly):
-                    nxt[i + 1] += c
-                    nxt[i] -= c * r
-                poly = nxt
             nodes.append(jt)
-            coeff_rows.append(poly)
+            coeff_rows.append(linear_product(sub_js))
         # j on the imaginary axis is real; discard numeric dust
         imag_tol = mp.ldexp(1, -(prec // 2))
         for jt in nodes:
@@ -138,13 +131,11 @@ def _phi_attempt(N: int, prec: int) -> BivarIntPolynomial | None:
             actual = mp.re(rhs_full[ncoef])
             if abs(spare - actual) > max(1, abs(actual)) * mp.ldexp(1, -64):
                 return None
-            for e in range(ncoef):
-                n = mp.nint(sol[e])
-                if abs(sol[e] - n) >= 0.25:
-                    return None
-                c = int(n)
-                if c:
-                    result[(d, e)] = c
+            ints = round_real_coeffs(sol, prec)
+            if ints is None:
+                return None
+            for e, c in enumerate(ints):
+                result[(d, e)] = c
     phi = BivarIntPolynomial(result)
     if phi.degree_x != N + 1 or phi.coefficient(N + 1, 0) != 1:
         return None
@@ -160,13 +151,7 @@ def modular_polynomial(N: int) -> BivarIntPolynomial:
         raise UnsupportedLevel(f"level {N} not supported")
     if N == 1:
         return BivarIntPolynomial({(1, 0): 1, (0, 1): -1})
-    prec = 160 * (N + 1) + 64
-    for _ in range(MAX_RETRIES + 1):
-        phi = _phi_attempt(N, prec)
-        if phi is not None:
-            return phi
-        prec *= 2
-    raise PrecisionExhausted(f"Phi_{N} did not round cleanly after {MAX_RETRIES} retries")
+    return retry_doubling(lambda p: _phi_attempt(N, p), 160 * (N + 1) + 64, f"Phi_{N}")
 
 
 def kronecker_congruence_check(p: int) -> bool:

@@ -25,35 +25,6 @@ class QuadForm:
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
 
-    def is_reduced(self) -> bool:
-        a, b, c = self.a, self.b, self.c
-        if not (abs(b) <= a <= c):
-            return False
-        if b < 0 and (abs(b) == a or a == c):
-            return False
-        return True
-
-    def is_primitive(self) -> bool:
-        return gcd(gcd(self.a, self.b), self.c) == 1
-
-
-def reduce(f: QuadForm) -> QuadForm:
-    """The unique reduced form equivalent to f (Gauss reduction)."""
-    a, b, c = f.a, f.b, f.c
-    if a <= 0 or b * b - 4 * a * c >= 0:
-        raise ValueError("form must be positive definite")
-    while True:
-        # normalize b into (-a, a]
-        r = (a - b) // (2 * a)
-        b, c = b + 2 * r * a, a * r * r + b * r + c
-        if a > c:
-            a, b, c = c, -b, a
-            continue
-        break
-    if b < 0 and (a == c or -b == a):
-        b = -b
-    return QuadForm(a, b, c)
-
 
 @lru_cache(maxsize=None)
 def reduced_forms(D: int) -> tuple[QuadForm, ...]:

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from hcpkit.errors import NotFound, PreconditionFailed
 from hcpkit.harness import (
     CSV_HEADER,
     ExperimentRecord,
+    _violation_witness,
     format_value,
     gcd_growth_rational,
     ordinary_scan,
@@ -222,6 +224,14 @@ class TestSupportScans:
         seen = []
         driver(*args, sink=seen.append)
         assert [r.as_csv_row()[3:5] for r in seen] == [slots(k) for k in keys]
+
+    def test_witness_from_trial_division_skips_rho(self):
+        # the cofactor (2^61 - 1)(2^89 - 1) has no prime below 2^17 and
+        # holds Pollard rho for minutes; 31 is already the least witness
+        x = 31 * (2**61 - 1) * (2**89 - 1)
+        start = time.perf_counter()
+        assert _violation_witness(x, 1) == 31
+        assert time.perf_counter() - start < 5
 
     def test_rejects_zero_base(self):
         with pytest.raises(PreconditionFailed):

@@ -7,7 +7,11 @@ from concurrent.futures import ThreadPoolExecutor
 import mpmath as mp
 import pytest
 
+from hcpkit import classpoly, modpoly
+from hcpkit.classpoly import hilbert_class_polynomial
+from hcpkit.errors import PrecisionExhausted
 from hcpkit.modfunc import j_tau, required_precision
+from hcpkit.modpoly import modular_polynomial
 
 
 def close(value, target, prec_bits):
@@ -79,6 +83,26 @@ class TestJTau:
             b = j_tau(-1 / tau, prec)
             assert abs(a - b) <= mp.ldexp(1, -(prec - 16)) * max(1, abs(a))
 
+    @pytest.mark.parametrize(
+        "tau",
+        [
+            # near rho = exp(2 pi i/3), where j ~ 0 and (x + 16)^3 cancels
+            lambda: mp.mpc(-0.5, mp.sqrt(3) / 2) + mp.mpf(10) ** -20,
+            lambda: mp.mpc(0, 1),
+            lambda: mp.mpc(mp.mpf("0.3"), mp.mpf("0.41")),  # edge of Im > 0.4
+            lambda: mp.mpc(mp.mpf("0.23"), mp.mpf("1.31")),
+        ],
+        ids=["rho", "i", "im-0.41", "generic"],
+    )
+    @pytest.mark.parametrize("prec", [96, 160])
+    def test_agrees_with_kleinj(self, tau, prec):
+        # mpmath's kleinj goes through theta functions, not the q-product
+        with mp.workprec(prec + 40):
+            t = tau()
+            value = j_tau(t, prec)
+            target = 1728 * mp.kleinj(t)
+            assert abs(value - target) <= mp.ldexp(1, -(prec - 8)) * max(1, abs(target))
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             j_tau(mp.mpc(0, 0.3), 128)
@@ -97,3 +121,47 @@ class TestJTau:
         with ThreadPoolExecutor(max_workers=4) as pool:
             parallel = list(pool.map(lambda t: j_tau(t, 100), taus))
         assert serial == parallel
+
+
+@pytest.mark.parametrize(
+    "module, attempt, build, p0, name",
+    [
+        (
+            classpoly,
+            "_assemble",
+            lambda cache_dir: hilbert_class_polynomial(-23, cache_dir),
+            required_precision(-23),
+            "H_-23",
+        ),
+        (
+            classpoly,
+            "_assemble",
+            lambda cache_dir: hilbert_class_polynomial(-23, cache_dir, prec_bits=200),
+            200,
+            "H_-23",
+        ),
+        (
+            modpoly,
+            "_phi_attempt",
+            lambda cache_dir: modular_polynomial(3),
+            160 * 4 + 64,
+            "Phi_3",
+        ),
+    ],
+    ids=["H_D", "H_D-prec_bits", "Phi_N"],
+)
+def test_retry_ladder_exhausts(monkeypatch, tmp_path, module, attempt, build, p0, name):
+    """An attempt that never rounds is tried at p0, 2p0, 4p0 and 8p0."""
+    tried = []
+    monkeypatch.setattr(module, attempt, lambda key, prec: tried.append(prec))
+    monkeypatch.setattr(classpoly, "_memo", {})
+    modular_polynomial.cache_clear()
+    try:
+        with pytest.raises(PrecisionExhausted) as excinfo:
+            build(tmp_path)
+    finally:
+        modular_polynomial.cache_clear()
+    assert str(excinfo.value) == f"{name} did not round cleanly after 3 retries"
+    assert tried == [p0, 2 * p0, 4 * p0, 8 * p0]
+    assert -23 not in classpoly._memo
+    assert not list(tmp_path.iterdir())
