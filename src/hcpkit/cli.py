@@ -15,7 +15,7 @@ from typing import Callable, Iterable
 from . import harness
 from .arith import discriminants_upto, is_fundamental_discriminant, is_prime, kronecker
 from .classpoly import hilbert_class_polynomial, verify_prop23
-from .errors import CapExceeded, HcpkitError, NotFound, PreconditionFailed, UnsupportedLevel
+from .errors import CapExceeded, HcpkitError, PreconditionFailed, UnsupportedLevel
 from .ffexperiments import find_common_cm_point, gcd_degree_growth
 from .finitefield import FqPoly, fq_context, lift_poly, supersingular_polynomial, michel_counts
 from .harness import ExperimentRecord, csv_row_writer, write_json
@@ -396,9 +396,6 @@ def main(argv: Iterable[str] | None = None) -> int:
     except CapExceeded as exc:
         print(f"hcpkit: {exc}", file=sys.stderr)
         return 3
-    except NotFound as exc:
-        print(f"hcpkit: {exc}", file=sys.stderr)
-        return 2
     except HcpkitError as exc:
         print(f"hcpkit: {exc}", file=sys.stderr)
         return 2

@@ -74,10 +74,8 @@ def _extract_p_power(f: FqPoly) -> tuple[FqPoly, int]:
 def _ss_discriminant(j0: FqElement, bound: int) -> int:
     """Smallest |D| with the class polynomial mod p vanishing at a
     supersingular j0."""
-    field = j0.field
     for D in discriminants_upto(bound):
-        h = hilbert_class_polynomial(D)
-        if FqPoly.from_int_polynomial(field, h.reduce_mod(field.p)).evaluate(j0).is_zero:
+        if hilbert_class_polynomial(D).evaluate(j0).is_zero:
             return D
     raise NotFound(f"no discriminant with |D| <= {bound} vanishes at {j0!r}")
 

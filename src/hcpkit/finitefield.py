@@ -6,7 +6,8 @@ every run and every implementation agrees on coordinates. Elements store
 coordinate tuples against that modulus. On top sit polynomial gcd and
 root finding, the supersingular polynomial, Frobenius traces by
 exhaustive point counting, Deuring discriminant search, and reduction
-histograms of class polynomials at inert primes.
+histograms of class polynomials at inert primes, read off the minimal
+polynomials of the supersingular j-invariants (Deuring).
 """
 
 from __future__ import annotations
@@ -16,11 +17,8 @@ from functools import lru_cache
 from itertools import count
 from math import comb, isqrt
 
-import numpy as np
-
 from .arith import factorize, is_fundamental_discriminant, is_prime, kronecker
 from .errors import FieldMismatch, FieldTooLarge, NotFound, NotInert, SupersingularInput
-from .intpoly import IntPolynomial
 
 FIELD_CAP = 1 << 20  # exhaustive point counting stays below this order
 
@@ -94,14 +92,19 @@ def _fp_gcd(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
     return _fp_monic(a, p)
 
 
-def _fp_pow_elt(base: tuple[int, ...], e: int, mod: tuple[int, ...], p: int) -> tuple[int, ...]:
-    result: tuple[int, ...] = (1,)
-    base = _fp_divmod(base, mod, p)[1]
+def _fp_pow(base: tuple[int, ...], e: int, p: int, mod: tuple[int, ...] = ()) -> tuple[int, ...]:
+    """base**e over Z/p, reduced modulo mod after every product when one is given."""
+
+    def reduce(a: tuple[int, ...]) -> tuple[int, ...]:
+        return _fp_divmod(a, mod, p)[1] if mod else a
+
+    result = _fp_trim([1 % p])
     while e:
         if e & 1:
-            result = _fp_divmod(_fp_mul(result, base, p), mod, p)[1]
-        base = _fp_divmod(_fp_mul(base, base, p), mod, p)[1]
+            result = reduce(_fp_mul(result, base, p))
         e >>= 1
+        if e:
+            base = reduce(_fp_mul(base, base, p))
     return result
 
 
@@ -178,7 +181,7 @@ def _fp_is_irreducible(f: tuple[int, ...], p: int) -> bool:
     frob = [x]  # frob[i] = X^(p^i) mod f
     t = x
     for _ in range(m):
-        t = _fp_pow_elt(t, p, f, p)
+        t = _fp_pow(t, p, p, f)
         frob.append(t)
     if frob[m] != _fp_divmod(x, f, p)[1]:
         return False
@@ -368,7 +371,7 @@ class FqElement:
         if e < 0:
             return self.inverse() ** (-e)
         f = self.field
-        rem = _fp_pow_elt(_fp_trim(list(self.coords)), e, f.modulus, f.p)
+        rem = _fp_pow(_fp_trim(list(self.coords)), e, f.p, f.modulus)
         return f.element(rem)
 
     def __eq__(self, other):
@@ -407,10 +410,6 @@ class FqPoly:
             cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def from_int_polynomial(cls, field: Fq, poly: IntPolynomial) -> FqPoly:
-        return cls(field, poly.coeffs)
 
     @classmethod
     def x(cls, field: Fq) -> FqPoly:
@@ -564,8 +563,6 @@ def _distinct_roots(g: FqPoly, rng: random.Random) -> list[FqElement]:
         return []
     if g.degree == 1:
         return [-g.coeffs[0] / g.coeffs[1]]
-    if field.q <= 4096:
-        return [x for x in field.elements() if g.evaluate(x).is_zero]
     x = FqPoly.x(field)
     for _ in range(256):
         if field.p == 2:
@@ -678,11 +675,11 @@ def _count_p_gt3_prime(j0: FqElement) -> int:
     p = j0.field.p
     a, b = _curve_from_j(j0)
     av, bv = a.coords[0], b.coords[0]
-    ys = np.arange(p, dtype=np.int64)
-    counts = np.bincount(ys * ys % p, minlength=p)
-    xs = np.arange(p, dtype=np.int64)
-    fx = ((xs * xs % p) * xs + av * xs + bv) % p
-    return 1 + int(counts[fx].sum())
+    counts = bytearray(p)  # counts[v] = #{y : y^2 = v}
+    counts[0] = 1
+    for y in range(1, (p + 1) // 2):
+        counts[y * y % p] = 2
+    return 1 + sum([counts[((x * x + av) * x + bv) % p] for x in range(p)])
 
 
 def _count_odd_generic(j0: FqElement) -> int:
@@ -786,9 +783,7 @@ def deuring_discriminants(j0: FqElement) -> list[int]:
         D = disc // (f * f)
         if D % 4 not in (0, 1):
             continue
-        h = hilbert_class_polynomial(D)
-        val = FqPoly.from_int_polynomial(field, h.reduce_mod(field.p)).evaluate(j0)
-        if val.is_zero:
+        if hilbert_class_polynomial(D).evaluate(j0).is_zero:
             out.append(D)
     if not out:
         raise NotFound("no discriminant vanishes at j0; counting or filter bug")
@@ -798,7 +793,9 @@ def deuring_discriminants(j0: FqElement) -> list[int]:
 def michel_counts(D: int, p: int) -> dict[FqElement, int]:
     """Histogram of the roots of H_D mod p over F_{p^2} for inert p.
 
-    Keys are supersingular j-invariants; multiplicities sum to h(D).
+    Keys are supersingular j-invariants; multiplicities sum to h(D). By
+    Deuring every root is supersingular, so the multiplicity of a root r is
+    how often its minimal polynomial over F_p divides H_D mod p.
     """
     from .classpoly import hilbert_class_polynomial
 
@@ -807,6 +804,20 @@ def michel_counts(D: int, p: int) -> dict[FqElement, int]:
     if kronecker(D, p) != -1:
         raise NotInert(f"{p} is not inert for discriminant {D}")
     h = hilbert_class_polynomial(D)
-    fp = fq_context(p, 1)
-    hp = FqPoly.from_int_polynomial(fp, h.reduce_mod(p))
-    return {r: mult for r, mult in roots_in(hp, 2)}
+    ss_roots = roots_in(supersingular_polynomial(p), 2)
+    hp = h.reduce_mod(p).coeffs
+    out: dict[FqElement, int] = {}
+    for r, _ in ss_roots:
+        rbar = r**p
+        if rbar == r:
+            minpoly = ((-r).coords[0], 1)
+        else:
+            minpoly = ((r * rbar).coords[0], (-(r + rbar)).coords[0], 1)
+        mult, (rest, rem) = 0, _fp_divmod(hp, minpoly, p)
+        while not rem:
+            mult, (rest, rem) = mult + 1, _fp_divmod(rest, minpoly, p)
+        if mult:
+            out[r] = mult
+    if sum(out.values()) != h.degree:
+        raise ArithmeticError(f"H_{D} mod {p} is not a product of supersingular factors")
+    return out

@@ -148,21 +148,13 @@ class IntPolynomial:
             raise ValueError("modulus must be positive")
         return IntPolynomial(tuple(c % p for c in self.coeffs))
 
-    def mul_mod(self, other: IntPolynomial, p: int) -> IntPolynomial:
-        return (self * other).reduce_mod(p)
-
     def pow_mod(self, n: int, p: int) -> IntPolynomial:
         """self**n with coefficients reduced mod p after every product."""
+        from .finitefield import _fp_pow
+
         if n < 0:
             raise ValueError("negative power")
-        result = IntPolynomial((1,)).reduce_mod(p)
-        base = self.reduce_mod(p)
-        while n:
-            if n & 1:
-                result = result.mul_mod(base, p)
-            base = base.mul_mod(base, p)
-            n >>= 1
-        return result
+        return IntPolynomial(_fp_pow(self.reduce_mod(p).coeffs, n, p))
 
     def divmod_exact(self, other: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
         """Long division requiring every quotient step to divide exactly over Z."""

@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hcpkit.classpoly
+from hcpkit.arith import discriminants_upto, is_fundamental_discriminant, kronecker
+from hcpkit.classpoly import hilbert_class_polynomial
 from hcpkit.errors import (
     FieldMismatch,
     FieldTooLarge,
@@ -27,6 +30,7 @@ from hcpkit.finitefield import (
     supersingular_count,
     supersingular_polynomial,
 )
+from hcpkit.intpoly import IntPolynomial
 from hcpkit.quadforms import class_number
 
 
@@ -468,3 +472,22 @@ class TestMichelCounts:
         ss = lift_poly(supersingular_polynomial(p), fq_context(p, 2))
         for r in counts:
             assert ss.evaluate(r).is_zero
+
+    def test_agrees_with_roots_of_the_lifted_class_polynomial(self):
+        # reference oracle: the general root finder on H_D over F_{p^2}
+        for D in filter(is_fundamental_discriminant, discriminants_upto(300)):
+            h = hilbert_class_polynomial(D)
+            for p in (2, 3, 5, 7, 11, 13):
+                if kronecker(D, p) != -1:
+                    continue
+                expected = roots_in(FqPoly(fq_context(p, 1), h.coeffs), 2)
+                assert list(michel_counts(D, p).items()) == expected, (D, p)
+
+    def test_non_supersingular_factor_raises(self, monkeypatch):
+        # H_{-23} with its constant term moved by one has roots mod 5 that
+        # are not supersingular; a histogram of them must not come back
+        h = hilbert_class_polynomial(-23)
+        bad = IntPolynomial((h.coeffs[0] + 1,) + h.coeffs[1:])
+        monkeypatch.setattr(hcpkit.classpoly, "hilbert_class_polynomial", lambda D, **kw: bad)
+        with pytest.raises(ArithmeticError, match=r"H_-23 mod 5"):
+            michel_counts(-23, 5)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hcpkit.intpoly import IntPolynomial
@@ -148,12 +148,22 @@ class TestModular:
                 lhs = IntPolynomial((a, 1)).pow_mod(p, p)
                 assert lhs == (IntPolynomial.monomial(p, 1) + IntPolynomial((a,))).reduce_mod(p)
 
-    @given(coeff_lists, st.integers(0, 12))
+    @given(coeff_lists, st.integers(0, 12), st.sampled_from([1, 11]))
+    @example([3, -1, 2], 0, 11)
+    @example([3, -1, 2], 0, 1)
+    @example([], 0, 11)
     @settings(max_examples=60)
-    def test_pow_mod_matches_direct(self, a, e):
+    def test_pow_mod_matches_direct(self, a, e, p):
         base = IntPolynomial(tuple(a))
-        p = 11
         assert base.pow_mod(e, p) == (base**e).reduce_mod(p)
+
+    def test_pow_mod_rejects_negative_power_and_nonpositive_modulus(self):
+        base = IntPolynomial((1, 1))
+        with pytest.raises(ValueError, match="negative power"):
+            base.pow_mod(-1, 5)
+        for p in (0, -3):
+            with pytest.raises(ValueError, match="modulus must be positive"):
+                base.pow_mod(2, p)
 
 
 class TestStr:
