@@ -2,8 +2,12 @@
 
 H_D is assembled as the product of (T - j(tau)) over the reduced forms of
 discriminant D in complex arithmetic at required_precision(D), with every
-coefficient rounded to the nearest integer. The expansion, the 0.25
-rounding gate and the doubling retry ladder (three retries, then
+coefficient rounded to the nearest integer. j is evaluated once per
+conjugate pair: a form (a, b, c) with 0 < b < a < c and its partner
+(a, -b, c) have conjugate roots and together contribute the real
+quadratic T^2 - 2 Re(j) T + |j|^2, while an ambiguous form (b = 0, b = a
+or a = c) has a real root and contributes T - j. The expansion, the
+rounding gates and the doubling retry ladder (three retries, then
 PrecisionExhausted) are modfunc's, shared with the modular polynomials.
 Cache files are plain text with a CRC-64/XZ trailer and are written via
 atomic rename.
@@ -25,7 +29,7 @@ from .intpoly import IntPolynomial
 from .modfunc import (
     MP_LOCK,
     j_tau,
-    linear_product,
+    monic_product,
     required_precision,
     retry_doubling,
     round_real_coeffs,
@@ -40,11 +44,19 @@ def _assemble(D: int, prec: int) -> IntPolynomial | None:
     forms = reduced_forms(D)
     with MP_LOCK, mp.workprec(prec + 32):
         sqrt_abs_d = mp.sqrt(-D)
-        roots = []
+        factors = []
         for f in forms:
+            if f.b < 0:
+                continue  # the root of (a, -b, c) is the conjugate of (a, b, c)'s
             tau = mp.mpc(mp.mpf(-f.b) / (2 * f.a), sqrt_abs_d / (2 * f.a))
-            roots.append(j_tau(tau, prec))
-        coeffs = linear_product(roots)
+            j = j_tau(tau, prec)
+            if f.b == 0 or f.b == f.a or f.a == f.c:
+                # ambiguous form: j is real, up to dust the imaginary gate judges
+                factors.append([-j, 1])
+            else:
+                re, im = mp.re(j), mp.im(j)
+                factors.append([re * re + im * im, -2 * re, 1])
+        coeffs = monic_product(factors)
         ints = round_real_coeffs(coeffs, prec)
     if ints is None:
         return None

@@ -12,6 +12,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .arith import factorize, is_prime, multiplicative_order
+from .errors import VerificationFailed
 from .intpoly import IntPolynomial
 
 
@@ -92,7 +93,7 @@ def cyclotomic_value(n: int, a: int) -> int:
                 den *= term
     q, r = divmod(num, den)
     if r:
-        raise ArithmeticError("Moebius product did not divide exactly")
+        raise VerificationFailed("Moebius product did not divide exactly")
     return q
 
 

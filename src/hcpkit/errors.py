@@ -17,6 +17,10 @@ class CorruptCache(HcpkitError):
     """A cache file failed its checksum or structural invariants."""
 
 
+class VerificationFailed(HcpkitError, ArithmeticError):
+    """An exact consistency check on a computed result did not hold."""
+
+
 class FieldMismatch(HcpkitError):
     """Operands live in different finite fields."""
 

@@ -18,7 +18,14 @@ from itertools import count
 from math import comb, isqrt
 
 from .arith import factorize, is_fundamental_discriminant, is_prime, kronecker
-from .errors import FieldMismatch, FieldTooLarge, NotFound, NotInert, SupersingularInput
+from .errors import (
+    FieldMismatch,
+    FieldTooLarge,
+    NotFound,
+    NotInert,
+    SupersingularInput,
+    VerificationFailed,
+)
 
 FIELD_CAP = 1 << 20  # exhaustive point counting stays below this order
 
@@ -819,5 +826,5 @@ def michel_counts(D: int, p: int) -> dict[FqElement, int]:
         if mult:
             out[r] = mult
     if sum(out.values()) != h.degree:
-        raise ArithmeticError(f"H_{D} mod {p} is not a product of supersingular factors")
+        raise VerificationFailed(f"H_{D} mod {p} is not a product of supersingular factors")
     return out

@@ -28,7 +28,7 @@ from .arith import (
 )
 from .classpoly import hilbert_class_polynomial
 from .cyclomult import cyclotomic_value
-from .errors import NotFound, PreconditionFailed
+from .errors import NotFound, PreconditionFailed, VerificationFailed
 from .finitefield import deuring_discriminants, fq_context, supersingular_polynomial
 from .intpoly import IntPolynomial
 from .quadforms import class_number
@@ -366,7 +366,7 @@ def ordinary_scan(
         D_q = cands[0]
         value = hilbert_class_polynomial(D_q, cache_dir=cache_dir).evaluate(j)
         if value % q:
-            raise ArithmeticError(f"q = {q} does not divide H_{D_q}({j}); search bug")
+            raise VerificationFailed(f"q = {q} does not divide H_{D_q}({j}); search bug")
         out.append((q, D_q))
         if sink is not None:
             sink(

@@ -17,7 +17,7 @@ from mpmath import mp
 
 from .arith import is_prime
 from .errors import PrecisionExhausted, UnsupportedLevel
-from .modfunc import MP_LOCK, j_tau, linear_product, retry_doubling, round_real_coeffs
+from .modfunc import MP_LOCK, j_tau, monic_product, retry_doubling, round_real_coeffs
 
 SUPPORTED_LEVELS = (1, 2, 3, 5, 7)
 
@@ -104,7 +104,7 @@ def _phi_attempt(N: int, prec: int) -> BivarIntPolynomial | None:
                 sub_js.append(j_tau(_reduce_fundamental((tau + k) / N), prec))
             sub_js.append(j_tau(_reduce_fundamental(N * tau), prec))
             nodes.append(jt)
-            coeff_rows.append(linear_product(sub_js))
+            coeff_rows.append(monic_product([[-r, 1] for r in sub_js]))
         # j on the imaginary axis is real; discard numeric dust
         imag_tol = mp.ldexp(1, -(prec // 2))
         for jt in nodes:

@@ -7,10 +7,15 @@ independent of the complex-analytic pipeline under test.
 
 from __future__ import annotations
 
+import sys
 import threading
+from pathlib import Path
 
 import pytest
+from mpmath import mp
 
+from hcpkit import classpoly
+from hcpkit.arith import is_fundamental_discriminant
 from hcpkit.classpoly import (
     cache_load,
     cache_store,
@@ -18,9 +23,16 @@ from hcpkit.classpoly import (
     hilbert_class_polynomial,
     verify_prop23,
 )
-from hcpkit.errors import CapExceeded, CorruptCache
+from hcpkit.errors import CapExceeded, CorruptCache, PrecisionExhausted
 from hcpkit.intpoly import IntPolynomial
-from hcpkit.quadforms import class_number
+from hcpkit.modfunc import j_tau, required_precision, round_real_coeffs
+from hcpkit.quadforms import class_number, reduced_forms
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from perfbench.checks import digest, load_refs  # noqa: E402
 
 CLASSICAL_LINEAR = {
     -3: 0,
@@ -93,6 +105,73 @@ class TestHilbertClassPolynomial:
         for t in threads:
             t.join()
         assert all(r == results[0] for r in results)
+
+
+def _is_ambiguous(f) -> bool:
+    return f.b == 0 or f.b == f.a or f.a == f.c
+
+
+# Every kind of reduced form occurs: b = 0 (-4, -84, -260, -12500), b = a
+# (-3, -15, -23, -84, -231, -9375), a = c (-15, -84, -260, -231) and
+# conjugate pairs (-23, -231, -260, -9375, -12500).
+PAIRING_DISCRIMINANTS = (-3, -4, -15, -23, -84, -231, -260, -9375, -12500)
+
+
+class TestConjugatePairing:
+    @pytest.mark.parametrize("D", PAIRING_DISCRIMINANTS)
+    def test_matches_expansion_over_every_form(self, D):
+        """One linear factor per reduced form, expanded term by term."""
+        prec = required_precision(D)
+        with mp.workprec(prec + 32):
+            root = mp.sqrt(-D)
+            coeffs = [mp.mpc(1)]
+            for f in reduced_forms(D):
+                j = j_tau(mp.mpc(mp.mpf(-f.b) / (2 * f.a), root / (2 * f.a)), prec)
+                shifted = [mp.mpc(0)] + coeffs
+                for i, c in enumerate(coeffs):
+                    shifted[i] -= j * c
+                coeffs = shifted
+            ints = round_real_coeffs(coeffs, prec)
+        assert ints is not None
+        assert hilbert_class_polynomial(D).coeffs == tuple(ints)
+
+    def test_every_kind_of_form_is_covered(self):
+        forms = [f for D in PAIRING_DISCRIMINANTS for f in reduced_forms(D)]
+        assert any(f.b == 0 for f in forms)
+        assert any(f.b == f.a for f in forms)
+        assert any(f.a == f.c and 0 < f.b < f.a for f in forms)
+        assert any(not _is_ambiguous(f) for f in forms)
+
+    @pytest.mark.parametrize("D", [-3, -23, -84, -231, -260, -9375])
+    def test_one_j_per_form_with_nonnegative_b(self, monkeypatch, D):
+        calls = []
+
+        def counted(tau, prec_bits):
+            calls.append(tau)
+            return j_tau(tau, prec_bits)
+
+        monkeypatch.setattr(classpoly, "j_tau", counted)
+        # an explicit precision bypasses the memo and the disk cache
+        poly = hilbert_class_polynomial(D, prec_bits=required_precision(D))
+        assert poly.degree == class_number(D)
+        assert len(calls) == sum(1 for f in reduced_forms(D) if f.b >= 0)
+
+
+class TestLowPrecision:
+    @pytest.mark.parametrize("D", [-479, -9375])
+    def test_too_low_precision_raises(self, D):
+        # these coefficients outgrow 64 to 512 bits; a wrong H_D must not round
+        with pytest.raises(PrecisionExhausted):
+            hilbert_class_polynomial(D, prec_bits=64)
+
+
+def test_pinned_digests_of_every_fundamental_discriminant_to_1000():
+    """H_D for fundamental |D| <= 1000 against the digests in perfbench/refs.json."""
+    refs = load_refs()["hd"]
+    discriminants = [-n for n in range(3, 1001) if is_fundamental_discriminant(-n)]
+    assert len(discriminants) == 305
+    wrong = [D for D in discriminants if digest(hilbert_class_polynomial(D).coeffs) != refs[str(D)]]
+    assert wrong == []
 
 
 class TestCacheFormat:

@@ -8,7 +8,9 @@ import json
 
 import pytest
 
+import hcpkit.classpoly
 from hcpkit.cli import main
+from hcpkit.intpoly import IntPolynomial
 
 HEADER = "experiment,D,h,param1,param2,value,pass"
 
@@ -232,6 +234,20 @@ class TestErrorHandling:
         rc, _, err = run("classnum", "-5")
         assert rc == 1
         assert "discriminant" in err
+
+    def test_failed_verification_is_exit_2(self, run, monkeypatch):
+        real = hcpkit.classpoly.hilbert_class_polynomial
+        h = real(-23)
+        bad = IntPolynomial((h.coeffs[0] + 1,) + h.coeffs[1:])
+
+        def patched(D, *args, **kwargs):
+            return bad if D == -23 else real(D, *args, **kwargs)
+
+        monkeypatch.setattr(hcpkit.classpoly, "hilbert_class_polynomial", patched)
+        rc, out, err = run("michel", "--D-cap", "23", "--p", "5", cache=False)
+        assert rc == 2
+        assert err == "hcpkit: H_-23 mod 5 is not a product of supersingular factors\n"
+        assert [r[1] for r in rows_of(out)] == ["-3", "-7", "-8"]
 
     def test_unsupported_level_is_exit_1(self, run):
         rc, _, err = run("modpoly", "4")

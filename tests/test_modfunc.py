@@ -10,7 +10,7 @@ import pytest
 from hcpkit import classpoly, modpoly
 from hcpkit.classpoly import hilbert_class_polynomial
 from hcpkit.errors import PrecisionExhausted
-from hcpkit.modfunc import j_tau, required_precision
+from hcpkit.modfunc import euler_product, j_tau, required_precision, round_real_coeffs
 from hcpkit.modpoly import modular_polynomial
 
 
@@ -28,6 +28,53 @@ class TestRequiredPrecision:
         values = [required_precision(D) for D in (-3, -23, -71, -471, -971)]
         assert values == sorted(values)
         assert all(v >= 64 for v in values)
+
+
+class TestEulerProduct:
+    @pytest.mark.parametrize(
+        "q",
+        [
+            lambda: mp.exp(2j * mp.pi * mp.mpc(-0.5, mp.sqrt(3) / 2)),  # rho, |q| largest
+            lambda: mp.exp(2j * mp.pi * mp.mpc(mp.mpf("0.3"), mp.mpf("0.41"))),
+            lambda: mp.exp(-2 * mp.pi),  # tau = i, real q
+            lambda: mp.mpc("0.001", "-0.002"),
+        ],
+        ids=["rho", "im-0.41", "i", "small"],
+    )
+    def test_pentagonal_series_is_the_product(self, q):
+        prec = 200
+        with mp.workprec(prec + 32):
+            qv = q()
+            # both sides stop once |q|^n < 2^-(prec+32)
+            nmax = int(mp.ceil((prec + 32) / -mp.log(abs(qv), 2)))
+            direct = mp.mpf(1)
+            for n in range(1, nmax + 1):
+                direct *= 1 - qv**n
+            assert abs(euler_product(qv, nmax) - direct) <= mp.ldexp(1, -prec)
+
+    def test_exact_on_a_dyadic_argument(self):
+        # with q = 2^-10 every term is exact: E(q) = 1 - q - q^2 + q^5 + q^7 - ...
+        with mp.workprec(400):
+            q = mp.ldexp(1, -10)
+            expected = 1 - q - q**2 + q**5 + q**7 - q**12 - q**15 + q**22 + q**26
+            assert euler_product(q, 30) == expected
+
+
+class TestRoundRealCoeffs:
+    def test_rounds_within_the_gate(self):
+        with mp.workprec(96):
+            coeffs = [mp.mpf("3.2"), mp.mpc("-7.9", "1e-30"), mp.ldexp(1, 63)]
+            assert round_real_coeffs(coeffs, 64) == [3, -8, 2**63]
+
+    def test_rejects_residual_at_the_gate(self):
+        with mp.workprec(96):
+            assert round_real_coeffs([mp.mpf("3.25")], 64) is None
+
+    def test_rejects_coefficients_of_two_to_prec_or_more(self):
+        # at 2^(prec+32) the working precision keeps no fractional bits; the cap is 2^prec
+        with mp.workprec(96):
+            assert round_real_coeffs([mp.mpf(1), mp.ldexp(1, 64)], 64) is None
+            assert round_real_coeffs([mp.mpf(1), -mp.ldexp(3, 70)], 64) is None
 
 
 def _cm_point(D: int) -> mp.mpc:
