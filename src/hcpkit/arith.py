@@ -104,10 +104,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int) -> int:
+def _pollard_rho(n: int, budget: int = _RHO_BUDGET) -> int:
     """One nontrivial factor of composite n, or n itself if the budget runs out.
 
-    Brent's cycle variant on x^2 + c with c = 1..8, 2^20 steps per attempt.
+    Brent's cycle variant on x^2 + c with c = 1..8, `budget` steps per attempt.
     """
     if n % 2 == 0:
         return 2
@@ -116,14 +116,14 @@ def _pollard_rho(n: int) -> int:
         g = 1
         x = ys = y
         steps = 0
-        while g == 1 and steps < _RHO_BUDGET:
+        while g == 1 and steps < budget:
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
             k = 0
-            while k < r and g == 1:
+            while k < r and g == 1 and steps < budget:
                 ys = y
-                m = min(128, r - k, _RHO_BUDGET - steps)
+                m = min(128, r - k, budget - steps)
                 for _ in range(m):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
@@ -178,25 +178,28 @@ def factorize(n: int, bound: int) -> Factorization:
         record(m)
         m = 1
 
-    # split the remainder with rho; stack of pending composites
-    cofactor = 1
-    pending = [m] if m > 1 else []
-    while pending:
-        v = pending.pop()
-        if v == 1:
-            continue
-        if is_prime(v):
-            record(v)
-            continue
-        d = _pollard_rho(v)
-        if d == v:
-            cofactor *= v
-        else:
-            pending.append(d)
-            pending.append(v // d)
-
+    primes, cofactor = _rho_split(m, _RHO_BUDGET)
+    for p in primes:
+        record(p)
     factors = tuple(sorted(found.items()))
     return Factorization(factors=factors, cofactor=cofactor)
+
+
+def _rho_split(n: int, budget: int) -> tuple[list[int], int]:
+    """Primes of n split off by Pollard rho at `budget` steps per attempt,
+    with repeats, and the product of the composites that resisted it."""
+    primes: list[int] = []
+    cofactor = 1
+    pending = [n] if n > 1 else []
+    while pending:
+        v = pending.pop()
+        if is_prime(v):
+            primes.append(v)
+        elif (d := _pollard_rho(v, budget)) == v:
+            cofactor *= v
+        else:
+            pending += [d, v // d]
+    return primes, cofactor
 
 
 def is_discriminant(D: int) -> bool:

@@ -19,6 +19,7 @@ from .errors import CapExceeded, NotFound, PreconditionFailed, SupersingularInpu
 from .finitefield import (
     FqElement,
     FqPoly,
+    _fp_pow,
     deuring_discriminants,
     lift_poly,
     poly_gcd,
@@ -41,34 +42,23 @@ class CommonCmPoint:
 
 def _char_power(f: FqPoly, n: int) -> FqPoly:
     """f**(p^n) via the Frobenius: power each coefficient, spread degrees."""
-    field = f.field
-    if f.is_zero or n == 0:
-        return f
-    step = field.p**n
-    zero = field.zero()
-    out = [zero] * (f.degree * step + 1)
-    for i, c in enumerate(f.coeffs):
-        if not c.is_zero:
-            out[i * step] = c**step
-    return FqPoly(field, out)
+    field, step = f.field, f.field.p**n
+    out: list = [()] * ((len(f._t) - 1) * step + 1) if f._t else []
+    for i, c in enumerate(f._t):
+        if c:
+            out[i * step] = _fp_pow(c, step, field.p, field.modulus)
+    return FqPoly._of(field, tuple(out))
 
 
 def _extract_p_power(f: FqPoly) -> tuple[FqPoly, int]:
     """Write f = g**(p^e) with g not a p-th power; returns (g, e)."""
-    field = f.field
-    p = field.p
-    e = 0
-    while f.degree >= 1:
-        if any(i % p for i, c in enumerate(f.coeffs) if not c.is_zero):
-            break
-        root_exp = p ** (field.m - 1) if field.m > 1 else 1
-        coeffs = [field.zero()] * (f.degree // p + 1)
-        for i, c in enumerate(f.coeffs):
-            if not c.is_zero:
-                coeffs[i // p] = c**root_exp
-        f = FqPoly(field, coeffs)
+    field, p = f.field, f.field.p
+    t, e = f._t, 0
+    while len(t) > 1 and not any(c for i, c in enumerate(t) if i % p):
+        # the p-th root of a coefficient is its p^(m-1)-th power
+        t = tuple(_fp_pow(c, p ** (field.m - 1), p, field.modulus) if c else () for c in t[::p])
         e += 1
-    return f, e
+    return FqPoly._of(field, t), e
 
 
 def _ss_discriminant(j0: FqElement, bound: int) -> int:

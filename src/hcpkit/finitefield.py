@@ -2,12 +2,16 @@
 
 A field context fixes the monic irreducible modulus of degree m over F_p
 with the lexicographically least coefficient encoding sum(c_i * p^i), so
-every run and every implementation agrees on coordinates. Elements store
-coordinate tuples against that modulus. On top sit polynomial gcd and
-root finding, the supersingular polynomial, Frobenius traces by
-exhaustive point counting, Deuring discriminant search, and reduction
-histograms of class polynomials at inert primes, read off the minimal
-polynomials of the supersingular j-invariants (Deuring).
+every run and every implementation agrees on coordinates. Arithmetic runs
+on int tuples in three layers: dense F_p[X] (the `_fp_*` routines), F_q
+as coordinate tuples reduced modulo the field's modulus (`_fq_mul`,
+`_fq_inv`), and F_q[X] as tuples of coordinate tuples inside FqPoly,
+whose operators, gcds, powers and root finding do no FqElement
+arithmetic; FqElement is the element type at the API. On top sit gcd and
+Cantor-Zassenhaus root finding, the supersingular polynomial, Frobenius
+traces by exhaustive point counting, Deuring discriminant search, and
+reduction histograms of class polynomials at inert primes, read off the
+minimal polynomials of the supersingular j-invariants (Deuring).
 """
 
 from __future__ import annotations
@@ -33,8 +37,9 @@ FIELD_CAP = 1 << 20  # exhaustive point counting stays below this order
 # Internal dense F_p[X] arithmetic on int tuples, constant term first.
 
 
-def _fp_trim(c: list[int]) -> tuple[int, ...]:
-    while c and c[-1] == 0:
+def _fp_trim(c: list) -> tuple:
+    # also trims F_q[X] tuples, whose zero coefficient is the empty tuple
+    while c and not c[-1]:
         c.pop()
     return tuple(c)
 
@@ -284,6 +289,34 @@ def fq_context(p: int, m: int = 1) -> Fq:
     return Fq(p, m, _least_irreducible(p, m))
 
 
+# ---------------------------------------------------------------------------
+# F_q arithmetic on coordinate tuples: trimmed F_p[X] residues modulo the
+# field's modulus. FqElement and FqPoly both compute through these.
+
+
+def _coords(e: FqElement) -> tuple[int, ...]:
+    return _fp_trim(list(e.coords))
+
+
+def _fq_mul(a: tuple[int, ...], b: tuple[int, ...], field: Fq) -> tuple[int, ...]:
+    return _fp_divmod(_fp_mul(a, b, field.p), field.modulus, field.p)[1]
+
+
+def _fq_inv(a: tuple[int, ...], field: Fq) -> tuple[int, ...]:
+    """Inverse by the extended Euclidean algorithm against the modulus."""
+    if not a:
+        raise ZeroDivisionError("inverse of zero")
+    p, b = field.p, field.modulus
+    s0: tuple[int, ...] = (1,)
+    s1: tuple[int, ...] = ()
+    while b:
+        q, r = _fp_divmod(a, b, p)
+        a, b = b, r
+        s0, s1 = s1, _fp_sub(s0, _fp_mul(q, s1, p), p)
+    inv_lead = pow(a[0], -1, p)
+    return tuple(c * inv_lead % p for c in s0)
+
+
 class FqElement:
     __slots__ = ("field", "coords")
 
@@ -326,60 +359,36 @@ class FqElement:
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self + (-o)
+        return o if o is NotImplemented else self + (-o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o + (-self)
+        return o if o is NotImplemented else o + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        f = self.field
-        prod = _fp_mul(_fp_trim(list(self.coords)), _fp_trim(list(o.coords)), f.p)
-        rem = _fp_divmod(prod, f.modulus, f.p)[1]
-        return f.element(rem)
+        return self.field.element(_fq_mul(_coords(self), _coords(o), self.field))
 
     __rmul__ = __mul__
 
     def inverse(self) -> FqElement:
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero")
-        f = self.field
-        # extended Euclid against the modulus
-        a, b = _fp_trim(list(self.coords)), f.modulus
-        s0: tuple[int, ...] = (1,)
-        s1: tuple[int, ...] = ()
-        while b:
-            q, r = _fp_divmod(a, b, f.p)
-            a, b = b, r
-            s0, s1 = s1, _fp_sub(s0, _fp_mul(q, s1, f.p), f.p)
-        inv_lead = pow(a[0], -1, f.p)
-        return f.element(tuple(c * inv_lead % f.p for c in s0))
+        return self.field.element(_fq_inv(_coords(self), self.field))
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
+        return o if o is NotImplemented else self * o.inverse()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o * self.inverse()
+        return o if o is NotImplemented else o * self.inverse()
 
     def __pow__(self, e: int) -> FqElement:
         if e < 0:
             return self.inverse() ** (-e)
         f = self.field
-        rem = _fp_pow(_fp_trim(list(self.coords)), e, f.p, f.modulus)
-        return f.element(rem)
+        return f.element(_fp_pow(_coords(self), e, f.p, f.modulus))
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -400,98 +409,112 @@ class FqElement:
 
 
 class FqPoly:
-    """Dense polynomial over one Fq context, constant term first."""
+    """Dense polynomial over one Fq context, constant term first.
 
-    __slots__ = ("field", "coeffs")
+    The coefficients are held as a trimmed tuple of coordinate tuples, and
+    the operators compute on those; `coeffs` gives them as FqElements.
+    """
+
+    __slots__ = ("field", "_t")
 
     def __init__(self, field: Fq, coeffs=()):
         cs = []
         for c in coeffs:
-            if isinstance(c, FqElement):
-                if c.field is not field:
-                    raise FieldMismatch("coefficient from a different field")
-                cs.append(c)
-            else:
-                cs.append(field.from_int(int(c)))
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        self.field = field
-        self.coeffs = tuple(cs)
+            if isinstance(c, FqElement) and c.field is not field:
+                raise FieldMismatch("coefficient from a different field")
+            cs.append(_coords(c) if isinstance(c, FqElement) else _fp_trim([int(c) % field.p]))
+        self.field, self._t = field, _fp_trim(cs)
+
+    @classmethod
+    def _of(cls, field: Fq, t: tuple) -> FqPoly:
+        """Wrap a trimmed tuple of trimmed coordinate tuples, unchecked."""
+        poly = object.__new__(cls)
+        poly.field, poly._t = field, t
+        return poly
 
     @classmethod
     def x(cls, field: Fq) -> FqPoly:
-        return cls(field, [0, 1])
+        return cls._of(field, ((), (1,)))
+
+    @property
+    def coeffs(self) -> tuple[FqElement, ...]:
+        return tuple(self.field.element(c) for c in self._t)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._t) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._t
 
     @property
     def leading(self) -> FqElement:
-        if not self.coeffs:
+        if not self._t:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.field.element(self._t[-1])
 
-    def _check(self, other: FqPoly) -> None:
+    def _other(self, other: FqPoly) -> tuple:
         if self.field is not other.field:
             raise FieldMismatch("polynomials over different fields")
+        return other._t
 
     def __add__(self, other: FqPoly) -> FqPoly:
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
+        a, b, p = self._t, self._other(other), self.field.p
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return FqPoly(self.field, out)
+            out[i] = _fp_add(out[i], c, p)
+        return FqPoly._of(self.field, _fp_trim(out))
 
     def __neg__(self) -> FqPoly:
-        return FqPoly(self.field, [-c for c in self.coeffs])
+        p = self.field.p
+        return FqPoly._of(self.field, tuple(_fp_sub((), c, p) for c in self._t))
 
     def __sub__(self, other: FqPoly) -> FqPoly:
         return self + (-other)
 
     def __mul__(self, other) -> FqPoly:
-        if isinstance(other, (FqElement, int)):
-            s = self.field.from_int(other) if isinstance(other, int) else other
-            return FqPoly(self.field, [c * s for c in self.coeffs])
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
+        field, a = self.field, self._t
+        if isinstance(other, int):
+            other = field.from_int(other)
+        if isinstance(other, FqElement):
+            if other.field is not field:
+                raise FieldMismatch("elements of different fields")
+            s = _coords(other)
+            return FqPoly._of(field, _fp_trim([_fq_mul(c, s, field) for c in a]))
+        b, p = self._other(other), field.p
         if not a or not b:
-            return FqPoly(self.field)
-        zero = self.field.zero()
-        out = [zero] * (len(a) + len(b) - 1)
+            return FqPoly._of(field, ())
+        # sum the coordinate products into each coefficient, then reduce it once
+        out: list = [()] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
-            if not ca.is_zero:
+            if ca:
                 for j, cb in enumerate(b):
-                    out[i + j] = out[i + j] + ca * cb
-        return FqPoly(self.field, out)
+                    out[i + j] = _fp_add(out[i + j], _fp_mul(ca, cb, p), p)
+        return FqPoly._of(field, _fp_trim([_fp_divmod(c, field.modulus, p)[1] for c in out]))
 
     __rmul__ = __mul__
 
     def __divmod__(self, other: FqPoly) -> tuple[FqPoly, FqPoly]:
-        self._check(other)
-        if other.is_zero:
+        field, a, b = self.field, self._t, self._other(other)
+        if not b:
             raise ZeroDivisionError("division by zero polynomial")
-        inv_lead = other.leading.inverse()
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        dq = len(a) - len(b)
         if dq < 0:
-            return FqPoly(self.field), self
-        zero = self.field.zero()
-        quot = [zero] * (dq + 1)
+            return FqPoly._of(field, ()), self
+        p, top = field.p, len(b) - 1
+        inv_lead = _fq_inv(b[-1], field)
+        rem = list(a)
+        quot: list = [()] * (dq + 1)
         for i in range(dq, -1, -1):
-            q = rem[i + other.degree] * inv_lead
-            if not q.is_zero:
+            q = _fq_mul(rem[i + top], inv_lead, field)
+            if q:
                 quot[i] = q
-                for j, c in enumerate(other.coeffs):
-                    rem[i + j] = rem[i + j] - q * c
-        return FqPoly(self.field, quot), FqPoly(self.field, rem)
+                for j, c in enumerate(b):
+                    rem[i + j] = _fp_sub(rem[i + j], _fq_mul(q, c, field), p)
+        return FqPoly._of(field, _fp_trim(quot)), FqPoly._of(field, _fp_trim(rem))
 
     def __mod__(self, other: FqPoly) -> FqPoly:
         return divmod(self, other)[1]
@@ -500,29 +523,31 @@ class FqPoly:
         return divmod(self, other)[0]
 
     def monic(self) -> FqPoly:
-        if self.is_zero or self.leading == self.field.one():
+        if self.is_zero or self._t[-1] == (1,):
             return self
-        inv = self.leading.inverse()
-        return FqPoly(self.field, [c * inv for c in self.coeffs])
+        return self * self.field.element(_fq_inv(self._t[-1], self.field))
 
     def evaluate(self, x: FqElement) -> FqElement:
-        if x.field is not self.field:
+        field = self.field
+        if x.field is not field:
             raise FieldMismatch("argument from a different field")
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        xc, acc = _coords(x), ()
+        for c in reversed(self._t):
+            acc = _fp_add(_fq_mul(acc, xc, field), c, field.p)
+        return field.element(acc)
 
     def derivative(self) -> FqPoly:
-        return FqPoly(self.field, [i * c for i, c in enumerate(self.coeffs) if i])
+        p = self.field.p
+        t = [_fp_trim([i * d % p for d in c]) for i, c in enumerate(self._t) if i]
+        return FqPoly._of(self.field, _fp_trim(t))
 
     def __eq__(self, other):
         if not isinstance(other, FqPoly):
             return NotImplemented
-        return self.field is other.field and self.coeffs == other.coeffs
+        return self.field is other.field and self._t == other._t
 
     def __hash__(self):
-        return hash((self.field.p, self.field.m, tuple(c.coords for c in self.coeffs)))
+        return hash((self.field.p, self.field.m, self._t))
 
     def __repr__(self) -> str:
         return f"FqPoly({self.field!r}, {[c.encoding for c in self.coeffs]})"
@@ -560,31 +585,29 @@ def lift_poly(f: FqPoly, target: Fq) -> FqPoly:
         return f
     if f.field.m != 1 or f.field.p != target.p:
         raise FieldMismatch("coefficients must lie in the prime field or the target field")
-    return FqPoly(target, [c.coords[0] for c in f.coeffs])
+    return FqPoly._of(target, f._t)
 
 
 def _distinct_roots(g: FqPoly, rng: random.Random) -> list[FqElement]:
-    """Roots of a polynomial that splits into distinct linear factors."""
+    """Roots of a monic polynomial that splits into distinct linear factors."""
     field = g.field
     if g.degree <= 0:
         return []
     if g.degree == 1:
-        return [-g.coeffs[0] / g.coeffs[1]]
+        return [(-g).coeffs[0]]  # the root of X + c is -c
     x = FqPoly.x(field)
     for _ in range(256):
         if field.p == 2:
             # Tr(cx) = sum (cx)^(2^i) for i < m splits g for random c
-            c = field.from_encoding(rng.randrange(1, field.q))
-            term = (x * c) % g
-            tr = term
+            term = x * field.from_encoding(rng.randrange(1, field.q))
+            split = term
             for _ in range(field.m - 1):
                 term = (term * term) % g
-                tr = tr + term
-            h = poly_gcd(tr % g, g)
+                split = split + term
         else:
-            shift = field.from_encoding(rng.randrange(field.q))
-            probe = (x + FqPoly(field, [shift])) % g
-            h = poly_gcd(poly_pow_mod(probe, (field.q - 1) // 2, g) - FqPoly(field, [1]), g)
+            shift = FqPoly(field, [field.from_encoding(rng.randrange(field.q))])
+            split = poly_pow_mod(x + shift, (field.q - 1) // 2, g) - FqPoly(field, [1])
+        h = poly_gcd(split, g)
         if 0 < h.degree < g.degree:
             return _distinct_roots(h, rng) + _distinct_roots(g // h, rng)
     raise NotFound("random splitting failed to converge")
@@ -607,18 +630,12 @@ def roots_in(f: FqPoly, m: int) -> list[tuple[FqElement, int]]:
     x = FqPoly.x(target)
     g = poly_gcd(fl, poly_pow_mod(x, target.q, fl) - x)
     seed = hash((target.p, target.m, tuple(c.encoding for c in fl.coeffs)))
-    roots = _distinct_roots(g, random.Random(seed))
     out: list[tuple[FqElement, int]] = []
-    for r in sorted(roots, key=lambda e: e.encoding):
-        lin = FqPoly(target, [-r, target.one()])
-        mult = 0
-        h = fl
-        while True:
-            q, rem = divmod(h, lin)
-            if not rem.is_zero:
-                break
-            mult += 1
-            h = q
+    for r in sorted(_distinct_roots(g, random.Random(seed)), key=lambda e: e.encoding):
+        lin = x - FqPoly(target, [r])
+        mult, (h, rem) = 0, divmod(fl, lin)
+        while rem.is_zero:
+            mult, (h, rem) = mult + 1, divmod(h, lin)
         out.append((r, mult))
     return out
 
@@ -716,33 +733,21 @@ def _count_char2(j0: FqElement) -> int:
     # trace to F_2 is linear: precompute it on the power basis
     bits = []
     for i in range(field.m):
-        b = field.element([0] * i + [1])
-        t = b
-        acc = b
+        t = acc = field.element([0] * i + [1])
         for _ in range(field.m - 1):
             t = t * t
             acc = acc + t
-        bits.append(acc.coords[0] & 1)
+        bits.append(acc.coords[0])
 
-    def tr(e: FqElement) -> int:
-        return sum(c * t for c, t in zip(e.coords, bits)) & 1
+    def tr0(e: FqElement) -> bool:
+        return not sum(c * t for c, t in zip(e.coords, bits)) & 1
 
     if j0.is_zero:
         # y^2 + y = x^3: 2 points over x when Tr(x^3) = 0
-        total = 1
-        for x in field.elements():
-            if tr(x * x * x) == 0:
-                total += 2
-        return total
+        return 1 + 2 * sum(tr0(x * x * x) for x in field.elements())
+    # infinity, the single point at x = 0, and 2 over x when Tr(x + a6/x^2) = 0
     a6 = j0.inverse()
-    total = 2  # infinity plus the single point at x = 0
-    for x in field.elements():
-        if x.is_zero:
-            continue
-        w = x + a6 * (x * x).inverse()
-        if tr(w) == 0:
-            total += 2
-    return total
+    return 2 + 2 * sum(tr0(x + a6 * (x * x).inverse()) for x in field.elements() if not x.is_zero)
 
 
 def frobenius_trace(j0: FqElement) -> int:
@@ -761,7 +766,7 @@ def frobenius_trace(j0: FqElement) -> int:
         n = _count_odd_generic(j0)
     t = field.q + 1 - n
     if t * t > 4 * field.q:
-        raise RuntimeError("trace exceeds the Hasse bound; counting bug")
+        raise VerificationFailed("trace exceeds the Hasse bound; counting bug")
     return t
 
 

@@ -19,8 +19,8 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from .arith import (
+    _rho_split,
     discriminants_upto,
-    factorize,
     is_fundamental_discriminant,
     is_prime,
     kronecker,
@@ -34,6 +34,10 @@ from .intpoly import IntPolynomial
 from .quadforms import class_number
 
 Sink = Callable[["ExperimentRecord"], None] | None
+
+# Pollard rho steps per attempt (8 attempts) in a witness search: under a
+# second on a 162-bit residue, after which it is reported composite
+_WITNESS_RHO_STEPS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -204,7 +208,9 @@ def _violation_witness(x: int, y: int, factor_bound: int = 1 << 17):
     """A prime dividing x but not y, else a composite residue report.
 
     Callers guarantee the support test failed. A zero x (full support
-    against nonzero y) is witnessed by the least prime missing from y.
+    against nonzero y) is witnessed by the least prime missing from y. A
+    residue that Pollard rho does not split within _WITNESS_RHO_STEPS per
+    attempt is reported as composite.
     """
     if x == 0:
         w = 2
@@ -226,10 +232,10 @@ def _violation_witness(x: int, y: int, factor_bound: int = 1 << 17):
         if z % q == 0:
             return q
         q += 1 if q == 2 else 2
-    fac = factorize(z, factor_bound)
-    if fac.factors:
-        return min(q for q, _ in fac.factors)
-    return f"composite residue {fac.cofactor}"
+    primes, residue = _rho_split(z, _WITNESS_RHO_STEPS)
+    if primes:
+        return min(primes)
+    return f"composite residue {residue}"
 
 
 def _support_scan(experiment: str, grid, sink: Sink) -> list[tuple[object, object]]:

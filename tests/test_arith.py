@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcpkit.arith import (
+    _pollard_rho,
+    _rho_split,
     factorize,
     is_discriminant,
     is_fundamental_discriminant,
@@ -101,6 +103,18 @@ class TestFactorize:
         fac = factorize(n, 10)
         assert fac.value() == n
         assert fac.as_dict() == {1000003: 1, 1000033: 1}
+
+    def test_rho_hands_n_back_when_its_budget_runs_out(self, time_limit):
+        # two 41-bit primes need about 2^20 rho steps, far past 1000
+        n = 1099511627791 * 1099511627803
+        with time_limit(10):
+            assert _pollard_rho(n, 1000) == n
+            assert _rho_split(n * (2**61 - 1), 1000) == ([], n * (2**61 - 1))
+
+    def test_rho_split_reports_every_prime_with_repeats(self):
+        primes, cofactor = _rho_split(1000003**2 * 1000033, 1 << 16)
+        assert sorted(primes) == [1000003, 1000003, 1000033]
+        assert cofactor == 1
 
 
 class TestDiscriminantPredicates:

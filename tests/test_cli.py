@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 import hcpkit.classpoly
+import hcpkit.finitefield
 from hcpkit.cli import main
 from hcpkit.intpoly import IntPolynomial
 
@@ -249,6 +252,14 @@ class TestErrorHandling:
         assert err == "hcpkit: H_-23 mod 5 is not a product of supersingular factors\n"
         assert [r[1] for r in rows_of(out)] == ["-3", "-7", "-8"]
 
+    def test_hasse_bound_violation_is_exit_2(self, run, monkeypatch):
+        # a point count far off the Hasse bound is a verification failure,
+        # not a traceback out of main
+        monkeypatch.setattr(hcpkit.finitefield, "_count_p_gt3_prime", lambda j0: 0)
+        rc, _, err = run("ordinary-scan", "--j", "5", "--q-max", "30")
+        assert rc == 2
+        assert err == "hcpkit: trace exceeds the Hasse bound; counting bug\n"
+
     def test_unsupported_level_is_exit_1(self, run):
         rc, _, err = run("modpoly", "4")
         assert rc == 1
@@ -284,3 +295,102 @@ class TestErrorHandling:
             main(["prop23", "--D", "-7;x", "--p", "2", "--n", "1"])
         assert exc.value.code == 1
 
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_examples() -> list[list[str]]:
+    """Argument lists of the `hcpkit ...` lines in the README's Command line block."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#")[0].split()[1:] for line in block.splitlines() if line.strip()]
+
+
+# exit code and sha256 of stdout as CSV and as JSON for every README example
+README_OUTPUTS = {
+    "classnum -47": (
+        0,
+        "7922953cad8256d56b8b2242f085037194db47bda7fc8c8a7e9bf13f331ccebd",
+        "1b29cb23cfd735242ab7163e7b6ae4700fcc88e083029b6240acec4ccf16f588",
+    ),
+    "hpoly -15": (
+        0,
+        "e26f1a7dafb283a0b57f4675b29db4e049f447e81ae7ded56fca3939138ae4d7",
+        "373ffbf6d741531dc0f4a275ad7c81e86c7795d239b52d545f5ee5fa9551551c",
+    ),
+    "modpoly 3": (
+        0,
+        "c8dc33c1aa42e2ec49e18b8b7831065a40e391a6872ba57f85d774fc8546f3ae",
+        "dbefb44bba090dfecea9201b797b868af225f120f9ddb24723401338c80351b1",
+    ),
+    "ss 13": (
+        0,
+        "99fa1aefa478a1607601352211f9d2df675a8d7304efbedf7eba6c2d61724424",
+        "f074086dff6008b4f988d59371f937dbde43607163593aa32fc6902bebe0dbe2",
+    ),
+    "prop23 --D=-7,-15 --p 2,3 --n 1,2": (
+        0,
+        "f7ecdf9479db24849335805f08654d67e6ba06655d735b61e9241555f7c61bfc",
+        "1ae0c321a289ee49b9c6f5c98b728861ec811cc3ab5baa6196a72a62dba69b1b",
+    ),
+    "kronecker-congruence --p 2,3,5,7": (
+        0,
+        "659873f8c009be9dfa5f6d7e6736854f8cb82cacffc43302c36892ca0819c602",
+        "45a160bcbe4e6aabaf53851ee223804d3f8fc7db9b5af7fdfe68f12ade5ae7e1",
+    ),
+    "michel --D-cap 500 --p 3,5,7": (
+        0,
+        "4a045c72fb5f4ddb79a70fb4fe407437c5f411b832c6a1d98826990bff267083",
+        "1d450347b204e79c71d0b43f323216a9d1cb8351ac6899525bf06841ab3abc50",
+    ),
+    "gcd-growth --a 2 --b 4 --p 2 --D-cap 1000": (
+        0,
+        "888f59c4de0b4ad03de9a4104d264383b97e72565cad363156e5f43cc6d70049",
+        "611fd5926957229769c4f271e9744cab0e68cac62d0db4f38684e9b99f67967a",
+    ),
+    "support-modular --j 2 --j2 3 --D-cap 150": (
+        0,
+        "bdd457f99036698100fa970fe36955e781aac0f8b692e825a5daff169f06ea8b",
+        "fc939c6a0d419a21b73cd6d169efcd5b67d0a738362bc1148e299bb77038d153",
+    ),
+    "support-cyclotomic --a 2 --b 4 --n-max 50": (
+        0,
+        "1421e151c780d4d30a2c232994d8fb55597913eb27c9546f50a1eca05c986653",
+        "0f35be7da751cd44ad3fbebe44c6a2b97c0c8cf5057b8ed76c4183e5b3ec33f6",
+    ),
+    "support-multiplicative --a 2 --b 8 --n-max 200": (
+        0,
+        "aa4414968f376b1d7cb7462d02d551f355848d5f10ddac92c8ebfcf740787683",
+        "fa9d26eb50ba5988261b68b4ca80cb1661fa1d6d6fd508da836a5085ba828b51",
+    ),
+    "thm54 --D-cap 500": (
+        0,
+        "61e56d4915cd4d2280a0eebc01092bc150520f4c80546f5580cfdb81e9602afa",
+        "716745253745d820148b186bfc271993fe9218f730d9a7bddbed9dd575bf87fd",
+    ),
+    "ff-find --p 2 --A F2:0,1 --B F2:0,0,1": (
+        0,
+        "9136c43c1bc39d08acac99e6d90ac3983ec1b7008c12547d00ebd232705bb969",
+        "fbbdac272a4f85be1af6f21b77d30df603a5207920074e99f4968ed97955865f",
+    ),
+    "ff-growth --p 2 --A F2:0,1 --B F2:0,0,1 --D0 -3 --k-max 3": (
+        0,
+        "fba16544958adace6f546e6e2ba82f625644d030adb2c1a3df9933b0a51de40a",
+        "db0f85b8e689c8cc9bde3ad8ed475ea2a2f48c739df8d5de334f0fc907bd3c6e",
+    ),
+    "ordinary-scan --j 2 --q-max 50": (
+        0,
+        "eb556e3c7583d9ee613db43b372be5c613abd1e38f0312ecd1254c7a3d8c8b7f",
+        "acb2e95d21184614d7a8574f82e820a5c37df06a0b1be22c8be499f860348239",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
+def test_readme_example_output(argv, fmt, capsys, tmp_path):
+    rc = main(["--out", fmt, "--cache-dir", str(tmp_path), *argv])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    code, csv_sha, json_sha = README_OUTPUTS[" ".join(argv)]
+    assert (rc, digest) == (code, csv_sha if fmt == "csv" else json_sha)

@@ -128,6 +128,11 @@ class TestFieldAxioms:
             field.zero().inverse()
 
 
+def draw_poly(data, field, **sizes) -> FqPoly:
+    encodings = data.draw(st.lists(st.integers(0, field.q - 1), **sizes))
+    return FqPoly(field, [field.from_encoding(e) for e in encodings])
+
+
 class TestPolynomials:
     def test_trailing_zeros_trimmed(self):
         field = fq_context(5, 1)
@@ -152,30 +157,26 @@ class TestPolynomials:
         with pytest.raises(ZeroDivisionError):
             divmod(FqPoly.x(field), FqPoly(field))
 
+    @pytest.mark.parametrize("p,m", [(7, 1), (3, 2), (2, 3)])
     @settings(max_examples=50, deadline=None)
-    @given(
-        f=st.lists(st.integers(0, 6), max_size=8),
-        g=st.lists(st.integers(0, 6), min_size=1, max_size=5),
-    )
-    def test_divmod_identity(self, f, g):
-        field = fq_context(7, 1)
-        fp = FqPoly(field, f)
-        gp = FqPoly(field, g)
+    @given(data=st.data())
+    def test_divmod_identity(self, p, m, data):
+        field = fq_context(p, m)
+        fp = draw_poly(data, field, max_size=8)
+        gp = draw_poly(data, field, min_size=1, max_size=5)
         if gp.is_zero:
             return
         q, r = divmod(fp, gp)
         assert q * gp + r == fp
         assert r.is_zero or r.degree < gp.degree
 
+    @pytest.mark.parametrize("p,m", [(7, 1), (3, 2), (2, 3)])
     @settings(max_examples=40, deadline=None)
-    @given(
-        f=st.lists(st.integers(0, 4), min_size=1, max_size=6),
-        g=st.lists(st.integers(0, 4), min_size=1, max_size=6),
-    )
-    def test_gcd_divides_both(self, f, g):
-        field = fq_context(5, 1)
-        fp = FqPoly(field, f)
-        gp = FqPoly(field, g)
+    @given(data=st.data())
+    def test_gcd_divides_both(self, p, m, data):
+        field = fq_context(p, m)
+        fp = draw_poly(data, field, min_size=1, max_size=6)
+        gp = draw_poly(data, field, min_size=1, max_size=6)
         d = poly_gcd(fp, gp)
         if d.is_zero:
             assert fp.is_zero and gp.is_zero
@@ -201,6 +202,23 @@ class TestPolynomials:
         for e in range(8):
             assert poly_pow_mod(base, e, mod) == acc % mod
             acc = acc * base
+
+    def test_pow_mod_over_an_extension_field(self):
+        field = fq_context(3, 2)
+        g = field.gen()
+        mod = FqPoly(field, [g, 0, 1, g * g])  # g^2 X^3 + X^2 + g, not monic
+        base = FqPoly(field, [1, g])
+        acc = FqPoly(field, [1])
+        for e in range(12):
+            assert poly_pow_mod(base, e, mod) == (acc % mod if e else acc)
+            acc = acc * base
+        # X^(q^3) = X modulo X^3 - X - (g + 1), irreducible over F_9 since
+        # the trace of g + 1 to F_3 is nonzero (Artin-Schreier)
+        cubic = FqPoly(field, [-(g + 1), -1, 0, 1])
+        assert roots_in(cubic, 2) == []
+        assert poly_pow_mod(FqPoly.x(field), field.q, cubic) != FqPoly.x(field)
+        x = FqPoly.x(field)
+        assert poly_pow_mod(x, field.q**3, cubic) == x
 
     def test_pow_mod_rejects_negative_exponent(self):
         field = fq_context(5, 1)
@@ -228,7 +246,52 @@ class TestPolynomials:
             lift_poly(FqPoly.x(fq_context(3, 1)), fq_context(5, 2))
 
 
+# roots_in outputs pinned from the earlier FqElement-per-coefficient
+# implementation: (p, k, coefficient encodings over F_{p^k}, target degree m,
+# [(root encoding, multiplicity)]). Prime-field rows first (repeated roots,
+# empty root sets, roots only upstairs), then F_{p^k} coefficients with
+# repeated roots, then seeded random polynomials.
+ROOTS_TABLE = [
+    (7, 1, [2, 2, 2, 3, 0, 1], 1, [(2, 2), (3, 1)]),
+    (7, 1, [1, 0, 1], 1, []),
+    (7, 1, [1, 0, 1], 2, [(7, 1), (42, 1)]),
+    (5, 1, [1, 1, 0, 1], 3, [(5, 1), (44, 1), (106, 1)]),
+    (5, 1, [1, 1, 0, 1], 2, []),
+    (3, 1, [0, 0, 0, 1, 0, 2, 0, 1], 2, [(0, 3), (3, 2), (6, 2)]),
+    (3, 1, [0, 0, 0, 1, 0, 2, 0, 1], 1, [(0, 3)]),
+    (2, 1, [1, 1, 0, 0, 1], 4, [(2, 1), (3, 1), (4, 1), (5, 1)]),
+    (2, 1, [1, 1, 1], 4, [(6, 1), (7, 1)]),
+    (2, 1, [1, 1, 0, 1], 4, []),
+    (2, 1, [0, 0, 1, 1, 1, 1], 1, [(0, 2), (1, 3)]),
+    (11, 1, [3], 1, []),
+    (13, 1, [8, 1], 2, [(5, 1)]),
+    (3, 2, [8, 5, 4, 4, 7, 7, 1], 2, [(1, 1), (4, 1), (5, 2), (7, 2)]),
+    (2, 4, [11, 8, 6, 6, 1, 14, 5, 1], 4, [(3, 3), (6, 1), (7, 1), (9, 1), (14, 1)]),
+    (5, 3, [73, 18, 79, 21, 45, 1], 3, [(17, 2), (101, 1)]),
+    (2, 3, [2, 2, 1, 1], 3, [(1, 1), (6, 2)]),
+    (7, 2, [6, 12, 29, 35, 44, 1], 2, [(2, 1), (5, 1), (10, 2), (48, 1)]),
+    (3, 2, [5, 1, 7, 8, 2], 2, []),
+    (3, 2, [0, 4, 4, 2, 1], 2, [(0, 1)]),
+    (2, 4, [4, 3, 2, 7, 10], 4, [(10, 1)]),
+    (2, 4, [2, 3, 15, 0, 14], 4, [(1, 1)]),
+    (5, 2, [17, 3, 22, 6], 2, []),
+    (5, 2, [20, 18, 1, 19], 2, []),
+    (3, 3, [10, 17, 22, 4], 3, [(5, 1), (11, 1), (12, 1)]),
+    (3, 3, [3, 18, 1, 2, 22, 25], 3, []),
+    (2, 4, [7, 15, 15, 13, 6, 0, 12], 4, [(1, 1)]),
+    (2, 4, [6, 6, 0, 4, 3, 9, 7], 4, [(11, 1), (13, 1)]),
+    (7, 2, [2, 0, 23, 23, 46], 2, []),
+    (7, 2, [13, 7, 48, 37, 4, 39, 15], 2, [(5, 1), (24, 1), (28, 1), (30, 1)]),
+]
+
+
 class TestRoots:
+    @pytest.mark.parametrize("p,k,encs,m,expected", ROOTS_TABLE)
+    def test_pinned_table(self, p, k, encs, m, expected):
+        field = fq_context(p, k)
+        f = FqPoly(field, [field.from_encoding(e) for e in encs])
+        assert [(r.encoding, mult) for r, mult in roots_in(f, m)] == expected
+
     def test_prime_field_multiplicities(self):
         field = fq_context(7, 1)
         x = FqPoly.x(field)

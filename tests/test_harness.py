@@ -233,6 +233,18 @@ class TestSupportScans:
         assert _violation_witness(x, 1) == 31
         assert time.perf_counter() - start < 5
 
+    def test_unsplit_residue_is_reported_within_the_rho_budget(self, cache_dir, time_limit):
+        # at D = -151, H_D(2) leaves a 162-bit residue with no prime below
+        # 2^17 that rho does not split within the witness budget
+        residue = 3269745954783605274348927162433288314580722065081
+        with time_limit(60):
+            start = time.perf_counter()
+            violations = support_scan_modular(2, 3, 151, cache_dir=cache_dir)
+            elapsed = time.perf_counter() - start
+        assert violations[-1] == (-151, f"composite residue {residue}")
+        assert len(violations) == 75
+        assert elapsed < 15
+
     def test_rejects_zero_base(self):
         with pytest.raises(PreconditionFailed):
             support_scan_cyclotomic(0, 4, 5)
