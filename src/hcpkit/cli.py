@@ -146,19 +146,21 @@ def cmd_kronecker_congruence(args, emit: Emit) -> int:
 
 def cmd_michel(args, emit: Emit) -> int:
     failed = False
+    ss_lifted: dict[int, FqPoly] = {}  # ss_p over F_{p^2}, built at the first inert D
     for D in discriminants_upto(args.D_cap):
         if not is_fundamental_discriminant(D):
             continue
         h = class_number(D)
         if args.h_cap and h > args.h_cap:
             continue
-        hilbert_class_polynomial(D, cache_dir=args.cache_dir)
-        for p in args.p:
-            if kronecker(D, p) != -1:
-                continue
+        inert = [p for p in args.p if kronecker(D, p) == -1]
+        if inert:
+            hilbert_class_polynomial(D, cache_dir=args.cache_dir)
+        for p in inert:
             counts = michel_counts(D, p)
-            ext = fq_context(p, 2)
-            ss = lift_poly(supersingular_polynomial(p), ext)
+            if p not in ss_lifted:
+                ss_lifted[p] = lift_poly(supersingular_polynomial(p), fq_context(p, 2))
+            ss = ss_lifted[p]
             contained = all(ss.evaluate(r).is_zero for r in counts)
             ok = contained and sum(counts.values()) == h
             failed = failed or not ok

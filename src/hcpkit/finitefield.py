@@ -8,10 +8,12 @@ as coordinate tuples reduced modulo the field's modulus (`_fq_mul`,
 `_fq_inv`), and F_q[X] as tuples of coordinate tuples inside FqPoly,
 whose operators, gcds, powers and root finding do no FqElement
 arithmetic; FqElement is the element type at the API. On top sit gcd and
-Cantor-Zassenhaus root finding, the supersingular polynomial, Frobenius
-traces by exhaustive point counting, Deuring discriminant search, and
-reduction histograms of class polynomials at inert primes, read off the
-minimal polynomials of the supersingular j-invariants (Deuring).
+Cantor-Zassenhaus root finding, the supersingular polynomial in the
+Kaneko-Zagier closed form (a truncated hypergeometric series, one O(p)
+loop), Frobenius traces by exhaustive point counting, Deuring
+discriminant search, and reduction histograms of class polynomials at
+inert primes, read off the minimal polynomials of the supersingular
+j-invariants (Deuring).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import count
-from math import comb, isqrt
+from math import isqrt
 
 from .arith import factorize, is_fundamental_discriminant, is_prime, kronecker
 from .errors import (
@@ -118,68 +120,6 @@ def _fp_pow(base: tuple[int, ...], e: int, p: int, mod: tuple[int, ...] = ()) ->
         if e:
             base = reduce(_fp_mul(base, base, p))
     return result
-
-
-def _fp_deriv(a: tuple[int, ...], p: int) -> tuple[int, ...]:
-    return _fp_trim([i * c % p for i, c in enumerate(a) if i])
-
-
-def _fp_pth_root(a: tuple[int, ...], p: int) -> tuple[int, ...]:
-    # valid over F_p only: coefficients are their own p-th roots
-    return _fp_trim([a[i] for i in range(0, len(a), p)])
-
-
-def _fp_radical(f: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Monic product of the distinct irreducible factors of f (char p aware)."""
-    f = _fp_monic(f, p)
-    if len(f) <= 1:
-        return (1,) if f else ()
-    d = _fp_deriv(f, p)
-    if not d:
-        return _fp_radical(_fp_pth_root(f, p), p)
-    g = _fp_gcd(f, d, p)
-    w = _fp_divmod(f, g, p)[0]
-    while True:
-        h = _fp_gcd(g, w, p)
-        if len(h) == 1:
-            break
-        g = _fp_divmod(g, h, p)[0]
-    if len(g) == 1:
-        return _fp_monic(w, p)
-    return _fp_monic(_fp_mul(w, _fp_radical(_fp_pth_root(g, p), p), p), p)
-
-
-def _fp_resultant(a: tuple[int, ...], b: tuple[int, ...], p: int) -> int:
-    """Res(a, b) over F_p by the Euclidean recurrence."""
-    if not a or not b:
-        return 0
-    res = 1
-    while True:
-        if len(b) == 1:
-            return res * pow(b[0], len(a) - 1, p) % p
-        r = _fp_divmod(a, b, p)[1]
-        if not r:
-            return 0 if len(b) > 1 else res
-        da, db, dr = len(a) - 1, len(b) - 1, len(r) - 1
-        res = res * pow(-1, da * db, p) % p
-        res = res * pow(b[-1], da - dr, p) % p
-        a, b = b, r
-
-
-def _fp_interpolate(points: list[tuple[int, int]], p: int) -> tuple[int, ...]:
-    """Lagrange interpolation through distinct nodes over F_p."""
-    poly: tuple[int, ...] = ()
-    for i, (xi, yi) in enumerate(points):
-        num: tuple[int, ...] = (1,)
-        den = 1
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            num = _fp_mul(num, ((-xj) % p, 1), p)
-            den = den * (xi - xj) % p
-        scale = yi * pow(den, -1, p) % p
-        poly = _fp_add(poly, tuple(c * scale % p for c in num), p)
-    return poly
 
 
 def _fp_is_irreducible(f: tuple[int, ...], p: int) -> bool:
@@ -646,38 +586,44 @@ def roots_in(f: FqPoly, m: int) -> list[tuple[FqElement, int]]:
 
 @lru_cache(maxsize=None)
 def supersingular_polynomial(p: int) -> FqPoly:
-    """Monic squarefree polynomial over F_p cutting out the supersingular
+    """Monic squarefree polynomial over F_p whose roots are the supersingular
     j-invariants in F_{p^2}.
 
-    For p >= 5 the Hasse polynomial sum(C(m,i)^2 * x^i), m = (p-1)/2, is
-    pushed to the j-line through the degree-2 cover j(lambda) and the
-    squarefree part of the resultant is returned. Interpolation from m+1
-    nodes suffices: the image has degree at most m in j and its leading
-    coefficient cannot vanish since the Hasse polynomial avoids 0 and 1.
+    For p >= 5 this is the closed form of Kaneko and Zagier (Supersingular
+    j-invariants, hypergeometric series, and Atkin's orthogonal polynomials,
+    AMS/IP Stud. Adv. Math. 7, 1998):
+
+        ss_p(j) = j^delta (j - 1728)^eps F(j),
+        F(j) = sum_{m=0..n} c_m j^(n-m),  c_0 = 1,
+        c_{m+1} = c_m 1728 (a+m)(b+m) / (m+1)^2,
+
+    mod p, with n = floor(p/12), delta = [p = 2 mod 3], eps = [p = 3 mod 4],
+    and (a, b) = (1/12, 5/12) when eps = 0, (7/12, 11/12) when eps = 1.
+    F is the truncated hypergeometric series 2F1(a, b; 1; 1728/j) scaled by
+    j^n. For p = 2 and 3 the only supersingular j-invariant is 0.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     field = fq_context(p, 1)
     if p in (2, 3):
-        return FqPoly(field, [0, 1])
-    m = (p - 1) // 2
-    hasse = tuple(comb(m, i) ** 2 % p for i in range(m + 1))
-    nodes: list[tuple[int, int]] = []
-    for j0 in range(m + 1):
-        # lambda^2 (1-lambda)^2 j0 - 256 (1 - lambda + lambda^2)^3
-        a = _fp_mul((0, 0, 1), (1, -2 % p, 1), p)  # lambda^2 (1-lambda)^2
-        a = tuple(c * j0 % p for c in a)
-        b = (1, -1 % p, 1)
-        b3 = _fp_mul(_fp_mul(b, b, p), b, p)
-        g = _fp_sub(a, tuple(c * 256 % p for c in b3), p)
-        nodes.append((j0, _fp_resultant(hasse, g, p)))
-    res_poly = _fp_interpolate(nodes, p)
-    sqfree = _fp_radical(res_poly, p)
-    return FqPoly(field, sqfree)
+        return FqPoly.x(field)
+    n, delta, eps = p // 12, p % 3 == 2, p % 4 == 3
+    twelfth = pow(12, -1, p)
+    a, b = (7 * twelfth, 11 * twelfth) if eps else (twelfth, 5 * twelfth)
+    c, coeffs = 1, [1]  # c_m, the coefficient of j^(n-m)
+    for m in range(n):
+        c = c * 1728 * (a + m) * (b + m) * pow((m + 1) ** 2, -1, p) % p
+        coeffs.append(c)
+    ss = tuple(reversed(coeffs))
+    if delta:
+        ss = _fp_mul(ss, (0, 1), p)
+    if eps:
+        ss = _fp_mul(ss, (-1728 % p, 1), p)
+    return FqPoly(field, ss)
 
 
 def supersingular_count(p: int) -> int:
-    return max(supersingular_polynomial(p).degree, 0)
+    return supersingular_polynomial(p).degree
 
 
 # ---------------------------------------------------------------------------

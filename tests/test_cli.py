@@ -74,6 +74,15 @@ class TestBasicCommands:
         assert rc == 0
         assert rows_of(out) == [["ss", "", "", "p=11", "", "0,10,1", ""]]
 
+    def test_ss_at_797_is_fast(self, run, time_limit):
+        with time_limit(5):
+            rc, out, _ = run("ss", "797")
+        assert rc == 0
+        [row] = rows_of(out)
+        coeffs = row[5].split(",")
+        assert len(coeffs) == 68  # degree 66 + 1 since 797 = 5 mod 12
+        assert coeffs[-1] == "1"
+
     def test_json_output(self, run):
         rc, out, _ = run("--out", "json", "classnum", "-4")
         assert rc == 0
@@ -121,6 +130,14 @@ class TestVerifyingCommands:
             ["michel", "-4", "1", "p=7", "", "6:1", "true"],
             ["michel", "-8", "1", "p=7", "", "6:1", "true"],
         ]
+
+    def test_michel_skips_assembly_without_an_inert_prime(self, run, tmp_path):
+        argv = ("--cache-dir", str(tmp_path), "michel", "--D-cap", "30", "--p", "3")
+        rc, out, _ = run(*argv, cache=False)
+        assert rc == 0
+        assert "-8" not in [r[1] for r in rows_of(out)]  # 3 splits in Q(sqrt -2)
+        assert (tmp_path / "hd_19.txt").exists()  # 3 is inert for D = -19
+        assert not (tmp_path / "hd_8.txt").exists()
 
     def test_michel_h_cap_zero_means_no_cap(self, run):
         rc, out, _ = run("--h-cap", "0", "michel", "--D-cap", "8", "--p", "7")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from hcpkit.errors import (
 )
 from hcpkit.finitefield import (
     FqPoly,
+    _fp_pow,
     deuring_discriminants,
     fq_context,
     frobenius_trace,
@@ -384,6 +386,9 @@ def primes_upto(n):
     return [i for i, f in enumerate(sieve) if f]
 
 
+SS_TABLE_SHA256 = "6796064dce0d552f607162d1932e4924a280ff6055fd3f7fb0f0ca140e312024"
+
+
 class TestSupersingular:
     def test_tiny_characteristics(self):
         for p in (2, 3):
@@ -398,6 +403,25 @@ class TestSupersingular:
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
             supersingular_polynomial(10)
+
+    def test_pinned_table_below_600(self):
+        # sha256 of "p:c_0,c_1,...\n" over every prime p < 600, coefficients
+        # constant first, pinned from an independent construction: the
+        # squarefree part of the resultant of the Legendre Hasse polynomial
+        # with the j(lambda) cover
+        table = "".join(
+            f"{p}:{','.join(str(c.encoding) for c in supersingular_polynomial(p).coeffs)}\n"
+            for p in primes_upto(599)
+        )
+        assert hashlib.sha256(table.encode()).hexdigest() == SS_TABLE_SHA256
+
+    @pytest.mark.parametrize("p", [1009, 1013, 1051, 1019])  # 1, 5, 7, 11 mod 12
+    def test_large_prime_degree_and_splitting(self, p):
+        ss = supersingular_polynomial(p)
+        assert ss.degree == ss_count_formula(p)
+        # X^(p^2) = X mod ss: ss is squarefree and splits over F_{p^2}
+        coeffs = tuple(c.encoding for c in ss.coeffs)
+        assert _fp_pow((0, 1), p * p, p, coeffs) == (0, 1)
 
     @pytest.mark.parametrize("p", primes_upto(200))
     def test_count_formula(self, p):
@@ -417,7 +441,7 @@ class TestSupersingular:
         for r, _ in roots_in(supersingular_polynomial(p), 2):
             assert frobenius_trace(r) % p == 0
 
-    @pytest.mark.parametrize("p", [11, 13, 23])
+    @pytest.mark.parametrize("p", [11, 13, 23, 157, 173, 199, 179])
     def test_prime_field_detection_agrees_with_counting(self, p):
         ss = supersingular_polynomial(p)
         field = fq_context(p, 1)
