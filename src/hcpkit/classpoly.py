@@ -1,13 +1,15 @@
 """Exact Hilbert class polynomials with a persistent text cache.
 
 H_D is assembled as the product of (T - j(tau)) over the reduced forms of
-discriminant D in complex arithmetic at required_precision(D), with every
-coefficient rounded to the nearest integer. j is evaluated once per
-conjugate pair: a form (a, b, c) with 0 < b < a < c and its partner
-(a, -b, c) have conjugate roots and together contribute the real
-quadratic T^2 - 2 Re(j) T + |j|^2, while an ambiguous form (b = 0, b = a
-or a = c) has a real root and contributes T - j. The expansion, the
-rounding gates and the doubling retry ladder (three retries, then
+discriminant D at required_precision(D), with every coefficient rounded
+to the nearest integer. j is evaluated once per conjugate pair: a form
+(a, b, c) with 0 < b < a < c and its partner (a, -b, c) have conjugate
+roots and together contribute the real quadratic T^2 - 2 Re(j) T + |j|^2,
+while an ambiguous form (b = 0, b = a or a = c) has a real root and
+contributes T - Re(j), once its imaginary part has passed the same
+per-root gate the rounding step applies to coefficients. Every factor is
+real, so the product tree multiplies no complex numbers. The expansion,
+the rounding gates and the doubling retry ladder (three retries, then
 PrecisionExhausted) are modfunc's, shared with the modular polynomials.
 Cache files are plain text with a CRC-64/XZ trailer and are written via
 atomic rename.
@@ -28,6 +30,7 @@ from .errors import CapExceeded, CorruptCache
 from .intpoly import IntPolynomial
 from .modfunc import (
     MP_LOCK,
+    imag_is_dust,
     j_tau,
     monic_product,
     required_precision,
@@ -50,11 +53,13 @@ def _assemble(D: int, prec: int) -> IntPolynomial | None:
                 continue  # the root of (a, -b, c) is the conjugate of (a, b, c)'s
             tau = mp.mpc(mp.mpf(-f.b) / (2 * f.a), sqrt_abs_d / (2 * f.a))
             j = j_tau(tau, prec)
+            re, im = mp.re(j), mp.im(j)
             if f.b == 0 or f.b == f.a or f.a == f.c:
-                # ambiguous form: j is real, up to dust the imaginary gate judges
-                factors.append([-j, 1])
+                # ambiguous form: j is real, and its imaginary part must be dust
+                if not imag_is_dust(j, prec):
+                    return None
+                factors.append([-re, 1])
             else:
-                re, im = mp.re(j), mp.im(j)
                 factors.append([re * re + im * im, -2 * re, 1])
         coeffs = monic_product(factors)
         ints = round_real_coeffs(coeffs, prec)

@@ -1,22 +1,27 @@
 """The numeric core shared by the class and modular polynomials.
 
-j is evaluated by Weber's relation, as an mpmath complex number under an
-explicit working precision: callers state the target precision in bits
-and receive a value carrying a 32-bit internal guard. The one q-product
-in it, prod(1+q^n), is a quotient of two of Euler's pentagonal series,
-so a value costs O(sqrt(N)) complex products for N terms of the
-product. Exact polynomials are recovered from such values by one
-pipeline: expand a product of monic factors in one product tree, round
-every coefficient behind a size cap and a 0.25 residual gate, and retry
-at doubled precision. mpmath's global context is not thread safe, so
-every precision-scoped block takes a module lock; at desk scale the
-interpreter lock serializes this work anyway.
+j is evaluated by Weber's relation under an explicit working precision:
+callers state the target precision in bits and receive an mpmath
+complex value carrying a 32-bit internal guard. q = exp(2 pi i tau) and
+the final rational step from Weber's function to j are mpmath numbers,
+so q keeps its relative precision however small it is. The one
+q-product, prod(1+q^n), is a quotient of two of Euler's pentagonal
+series, and those series, the quotient and its 24th power run on
+fixed-point Python ints with a guard derived from the term count: a
+value costs O(sqrt(N)) complex products for N terms of the product,
+with none of mpmath's per-operation overhead. Exact polynomials are
+recovered from such values by one pipeline: expand a product of monic
+factors in one product tree, round every coefficient behind a size cap
+and a 0.25 residual gate, and retry at doubled precision. mpmath's
+global context is not thread safe, so every precision-scoped block takes
+a module lock; at desk scale the interpreter lock serializes this work
+anyway.
 """
 
 from __future__ import annotations
 
 import threading
-from math import ceil, log, pi
+from math import ceil, isqrt, log, pi
 
 import mpmath
 from mpmath import mp
@@ -42,42 +47,88 @@ def required_precision(D: int) -> int:
     return base_int + 64 + 8 * class_number(D)
 
 
+def _cmul(ar: int, ai: int, br: int, bi: int, shift: int) -> tuple[int, int]:
+    """(ar + i ai)(br + i bi) >> shift, in three integer products."""
+    k1 = br * (ar + ai)
+    return (k1 - ai * (br + bi)) >> shift, (k1 + ar * (bi - br)) >> shift
+
+
+def _csquare(ar: int, ai: int, shift: int) -> tuple[int, int]:
+    """(ar + i ai)^2 >> shift, in two integer products."""
+    return (ar + ai) * (ar - ai) >> shift, 2 * ar * ai >> shift
+
+
+def _pentagonal(qr: int, qi: int, bits: int, nmax: int, nsq: int = 0):
+    """Euler's pentagonal series on complex fixed-point ints.
+
+    q = (qr + i qi) / 2^bits. Sums E(q) = 1 + sum over k >= 1 of
+    (-1)^k (q^(k(3k-1)/2) + q^(k(3k+1)/2)) while k(3k-1)/2 <= nmax, and
+    E(q^2) from the squares of the terms of every k with k(3k-1)/2 <= nsq
+    (none when nsq = 0). Returns (re E(q), im E(q), re E(q^2), im E(q^2)),
+    scaled by 2^bits, each within 12 units of the last place per k when
+    |q| < 1/12. The powers are carried along at four complex products per
+    k, and two complex squares give E(q^2)'s terms. A term of size below
+    2^-vL, with 2^-v > |q|, needs its multiplier only to 2^-(bits - vL),
+    so q^k and q^(2k+1) are carried at that many fractional bits and
+    shrink as k grows.
+    """
+    er = sr = 1 << bits
+    ei = si = 0
+    v = max(bits - 1 - max(abs(qr), abs(qi)).bit_length(), 0)
+    q2r, q2i = _csquare(qr, qi, bits)
+    kr, ki = qr, qi  # q^k, at p fractional bits
+    lr, li = qr, qi  # q^(k(3k-1)/2), at bits fractional bits
+    tr, ti = _cmul(q2r, q2i, qr, qi, bits)  # q^(2k+1), at p fractional bits
+    p = bits
+    k = 1
+    while (low := k * (3 * k - 1) // 2) <= nmax:
+        drop = p - max(bits - v * low, 0)
+        p -= drop
+        kr, ki, tr, ti = kr >> drop, ki >> drop, tr >> drop, ti >> drop
+        hr, hi = _cmul(lr, li, kr, ki, p)  # q^(k(3k+1)/2)
+        ur, ui = lr + hr, li + hi
+        if low <= nsq:
+            wr = ((lr + li) * (lr - li) + (hr + hi) * (hr - hi)) >> bits
+            wi = 2 * (lr * li + hr * hi) >> bits
+        else:
+            wr = wi = 0
+        if k % 2:
+            er, ei, sr, si = er - ur, ei - ui, sr - wr, si - wi
+        else:
+            er, ei, sr, si = er + ur, ei + ui, sr + wr, si + wi
+        lr, li = _cmul(hr, hi, tr, ti, p)
+        tr, ti = _cmul(tr, ti, q2r >> bits - p, q2i >> bits - p, p)
+        kr, ki = _cmul(kr, ki, qr >> bits - p, qi >> bits - p, p)
+        k += 1
+    return er, ei, sr, si
+
+
 def euler_product(q, nmax: int):
     """E(q) = prod(1 - q^n) for n >= 1, by Euler's pentagonal series.
 
-    E(q) = 1 + sum over k >= 1 of (-1)^k (q^(k(3k-1)/2) + q^(k(3k+1)/2)),
-    summed while k(3k-1)/2 <= nmax: about sqrt(2 nmax / 3) values of k,
-    with the powers carried along at four products per k. Call under the
-    caller's working precision.
+    The series is summed while k(3k-1)/2 <= nmax, about sqrt(2 nmax / 3)
+    values of k, on fixed-point ints (_pentagonal) with a guard of
+    log2(nmax) + 4 bits over the caller's working precision. Call under
+    that precision.
     """
-    total = 1
-    q2 = q * q
-    qk = q  # q^k
-    low = q  # q^(k(3k-1)/2)
-    step = q2 * q  # q^(2k+1), from q^(k(3k+1)/2) to the next low power
-    k = 1
-    while k * (3 * k - 1) // 2 <= nmax:
-        high = low * qk  # q^(k(3k+1)/2)
-        if k % 2:
-            total -= low + high
-        else:
-            total += low + high
-        low = high * step
-        step *= q2
-        qk *= q
-        k += 1
-    return total
+    bits = mp.prec + nmax.bit_length() + 4
+    qr, qi = int(mp.ldexp(mp.re(q), bits)), int(mp.ldexp(mp.im(q), bits))
+    er, ei, _, _ = _pentagonal(qr, qi, bits, nmax)
+    return mp.mpc(mp.ldexp(er, -bits), mp.ldexp(ei, -bits))
 
 
 def j_tau(tau, prec_bits: int) -> mpmath.mpc:
     """j(tau) = (x + 16)^3 / x with x = f2(tau)^24, q = exp(2 pi i tau).
 
-    Weber's f2^24 = 2^12 q prod((1+q^n)^24), and prod(1+q^n) is taken as
-    E(q^2)/E(q) from two pentagonal series (euler_product); both truncate
-    once |q|^n < 2^-(prec_bits+32). The 24th power is four squarings and
-    one product. Requires Im(tau) > 0.4 (callers supply near-reduced
-    arguments, and |q| is then below exp(-0.8 pi)) and prec_bits >= 64.
-    Absolute error is within 2^-(prec_bits-8)*max(1, |j|).
+    Weber's f2^24 = 2^12 q r^24 with r = prod(1+q^n) = E(q^2)/E(q).
+    q, x and j are mpmath numbers at prec_bits + 32 bits, so q keeps its
+    full relative precision however small it is. The two pentagonal
+    series, the quotient r and r^24 run on complex fixed-point ints at
+    prec_bits + 32 + g bits (_pentagonal); the series truncate once
+    |q|^n < 2^-(prec_bits+32). Requires Im(tau) > 0.4 (callers supply
+    near-reduced arguments, and |q| is then below exp(-0.8 pi) < 1/12)
+    and prec_bits >= 64. Absolute error is within
+    2^-(prec_bits-8)*max(1, |j|).
     """
     if prec_bits < 64:
         raise ValueError("prec_bits must be >= 64")
@@ -90,11 +141,27 @@ def j_tau(tau, prec_bits: int) -> mpmath.mpc:
         # |q|^n < 2^-(prec+32)  <=>  n > (prec+32) / (-log2 |q|),
         # and -log2 |q| = 2 pi Im(tau) / ln 2
         nterms = int(ceil((prec_bits + 32) * log(2) / (2 * pi * float(im)))) + 1
-        r = euler_product(q * q, nterms // 2 + 1) / euler_product(q, nterms)
-        r2 = r * r
-        r4 = r2 * r2
-        r8 = r4 * r4
-        x = 4096 * q * (r8 * (r8 * r8))
+        # Guard. For K values of k, E(q) and E(q^2) are within 12K units of
+        # the last place (ulps) (_pentagonal). |E(q)| >= 1 - |q|/(1 - |q|)
+        # > 0.9 and |r| < exp(|q|/(1 - |q|)) < 1.1, so r is within 30K ulps,
+        # r^24 within 24 |r|^23 30K + 190 < 2^13 K ulps, and |r^24| > 0.1:
+        # the fixed-point steps add a relative error below 2^(17 - bits) K
+        # to r^24, and g = bit_length(K) + 17 keeps it below
+        # 2^-(prec_bits+32).
+        big_k = (1 + isqrt(1 + 24 * nterms)) // 6  # last k with k(3k-1)/2 <= nterms
+        bits = prec_bits + 32 + big_k.bit_length() + 17
+        qr, qi = int(mp.ldexp(mp.re(q), bits)), int(mp.ldexp(mp.im(q), bits))
+        er, ei, sr, si = _pentagonal(qr, qi, bits, nterms, nterms // 2 + 1)
+        den = er * er + ei * ei
+        rr = ((sr * er + si * ei) << bits) // den
+        ri = ((si * er - sr * ei) << bits) // den
+        r2r, r2i = _csquare(rr, ri, bits)
+        r4r, r4i = _csquare(r2r, r2i, bits)
+        r8r, r8i = _csquare(r4r, r4i, bits)
+        r16r, r16i = _csquare(r8r, r8i, bits)
+        r24r, r24i = _cmul(r16r, r16i, r8r, r8i, bits)
+        r24 = mp.mpc(mp.ldexp(r24r, -bits), mp.ldexp(r24i, -bits))
+        x = 4096 * q * r24
         y = x + 16
         return y * y * y / x
 
@@ -128,6 +195,11 @@ def _monic_mul(a: list, b: list) -> list:
     return out
 
 
+def imag_is_dust(z, prec: int) -> bool:
+    """Whether |Im z| <= 2^-(prec/2) max(1, |Re z|), so z counts as real."""
+    return abs(mp.im(z)) <= mp.ldexp(1, -(prec // 2)) * max(1, abs(mp.re(z)))
+
+
 def round_real_coeffs(coeffs, prec: int) -> list[int] | None:
     """Round complex coefficients to ints; None when the evidence is weak.
 
@@ -138,11 +210,10 @@ def round_real_coeffs(coeffs, prec: int) -> list[int] | None:
     the 0.25 gate whatever its error; below 2^prec, 32 bits remain.
     """
     out = []
-    imag_tol = mp.ldexp(1, -(prec // 2))
     size_cap = mp.ldexp(1, prec)
     for c in coeffs:
-        re, im = mp.re(c), mp.im(c)
-        if abs(im) > imag_tol * max(1, abs(re)) or abs(re) >= size_cap:
+        re = mp.re(c)
+        if not imag_is_dust(c, prec) or abs(re) >= size_cap:
             return None
         n = mp.nint(re)
         if abs(re - n) >= 0.25:

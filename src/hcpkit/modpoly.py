@@ -17,7 +17,7 @@ from mpmath import mp
 
 from .arith import is_prime
 from .errors import PrecisionExhausted, UnsupportedLevel
-from .modfunc import MP_LOCK, j_tau, monic_product, retry_doubling, round_real_coeffs
+from .modfunc import MP_LOCK, imag_is_dust, j_tau, monic_product, retry_doubling, round_real_coeffs
 
 SUPPORTED_LEVELS = (1, 2, 3, 5, 7)
 
@@ -106,10 +106,8 @@ def _phi_attempt(N: int, prec: int) -> BivarIntPolynomial | None:
             nodes.append(jt)
             coeff_rows.append(monic_product([[-r, 1] for r in sub_js]))
         # j on the imaginary axis is real; discard numeric dust
-        imag_tol = mp.ldexp(1, -(prec // 2))
-        for jt in nodes:
-            if abs(mp.im(jt)) > imag_tol * max(1, abs(mp.re(jt))):
-                return None
+        if not all(imag_is_dust(jt, prec) for jt in nodes):
+            return None
         ynodes = [mp.re(jt) for jt in nodes]
         ncoef = N + 2  # Y-degree at most N+1
         vander = mp.matrix(ncoef, ncoef)
@@ -119,9 +117,8 @@ def _phi_attempt(N: int, prec: int) -> BivarIntPolynomial | None:
         result: dict[tuple[int, int], int] = {}
         for d in range(N + 2):
             rhs_full = [coeff_rows[s][d] for s in range(nsamples)]
-            for v in rhs_full:
-                if abs(mp.im(v)) > imag_tol * max(1, abs(mp.re(v))):
-                    return None
+            if not all(imag_is_dust(v, prec) for v in rhs_full):
+                return None
             rhs = mp.matrix([mp.re(v) for v in rhs_full[:ncoef]])
             sol = mp.lu_solve(vander, rhs)
             # held-out sample must agree before rounding is trusted

@@ -157,6 +157,19 @@ class TestConjugatePairing:
         assert len(calls) == sum(1 for f in reduced_forms(D) if f.b >= 0)
 
 
+def test_imaginary_dust_on_real_roots_is_rejected(monkeypatch):
+    """A real root with an imaginary part above the gate must not round."""
+
+    def dusty(tau, prec_bits):
+        j = j_tau(tau, prec_bits)
+        return j + 1j * mp.ldexp(1, -(prec_bits // 4)) * max(1, abs(j))
+
+    assert all(_is_ambiguous(f) for f in reduced_forms(-84))
+    monkeypatch.setattr(classpoly, "j_tau", dusty)
+    with pytest.raises(PrecisionExhausted):
+        hilbert_class_polynomial(-84, prec_bits=required_precision(-84))
+
+
 class TestLowPrecision:
     @pytest.mark.parametrize("D", [-479, -9375])
     def test_too_low_precision_raises(self, D):
@@ -165,13 +178,27 @@ class TestLowPrecision:
             hilbert_class_polynomial(D, prec_bits=64)
 
 
-def test_pinned_digests_of_every_fundamental_discriminant_to_1000():
-    """H_D for fundamental |D| <= 1000 against the digests in perfbench/refs.json."""
+def test_pinned_digests_of_every_fundamental_discriminant_to_1000(monkeypatch):
+    """H_D for fundamental |D| <= 1000 against the digests in perfbench/refs.json.
+
+    Each H_D is assembled afresh and must round at its first precision: a
+    retry would double the work without changing the result.
+    """
+    attempts = []
+    assemble = classpoly._assemble
+
+    def counted(D, prec):
+        attempts.append(D)
+        return assemble(D, prec)
+
+    monkeypatch.setattr(classpoly, "_assemble", counted)
+    monkeypatch.setattr(classpoly, "_memo", {})
     refs = load_refs()["hd"]
     discriminants = [-n for n in range(3, 1001) if is_fundamental_discriminant(-n)]
     assert len(discriminants) == 305
     wrong = [D for D in discriminants if digest(hilbert_class_polynomial(D).coeffs) != refs[str(D)]]
     assert wrong == []
+    assert attempts == discriminants
 
 
 class TestCacheFormat:

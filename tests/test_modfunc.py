@@ -141,7 +141,7 @@ class TestJTau:
         ],
         ids=["rho", "i", "im-0.41", "generic"],
     )
-    @pytest.mark.parametrize("prec", [96, 160])
+    @pytest.mark.parametrize("prec", [96, 160, 1024, 4096])
     def test_agrees_with_kleinj(self, tau, prec):
         # mpmath's kleinj goes through theta functions, not the q-product
         with mp.workprec(prec + 40):
