@@ -2,7 +2,9 @@
 
 Records go to standard output as CSV (default) or JSON; diagnostics go
 to standard error. Exit codes: 0 success, 1 usage error, 2 verification
-failure, 3 cap exceeded.
+failure, 3 cap exceeded. A run exits 2 when any record it printed failed,
+except in the support scans, whose failing rows are violations the support
+problem allows: those exit 0.
 """
 
 from __future__ import annotations
@@ -13,12 +15,12 @@ import sys
 from typing import Callable, Iterable
 
 from . import harness
-from .arith import discriminants_upto, is_fundamental_discriminant, is_prime, kronecker
+from .arith import is_fundamental_discriminant, is_prime, kronecker
 from .classpoly import hilbert_class_polynomial, verify_prop23
 from .errors import CapExceeded, HcpkitError, PreconditionFailed, UnsupportedLevel
 from .ffexperiments import find_common_cm_point, gcd_degree_growth
-from .finitefield import FqPoly, fq_context, lift_poly, supersingular_polynomial, michel_counts
-from .harness import ExperimentRecord, csv_row_writer, write_json
+from .finitefield import FqPoly, fq_context, supersingular_polynomial, michel_counts
+from .harness import ExperimentRecord, csv_row_writer, discriminant_grid, write_json
 from .modpoly import kronecker_congruence_check, modular_polynomial
 from .qfield import verify_thm54
 from .quadforms import class_number
@@ -82,46 +84,39 @@ def _parse_poly(text: str) -> FqPoly:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers. Each returns the process exit code.
+# Subcommand handlers. Each emits its records; main turns them into the exit code.
 
 
-def cmd_classnum(args, emit: Emit) -> int:
+def cmd_classnum(args, emit: Emit) -> None:
     h = class_number(args.D)
     emit(ExperimentRecord("classnum", {}, D=args.D, h=h, value=h))
-    return 0
 
 
-def cmd_hpoly(args, emit: Emit) -> int:
+def cmd_hpoly(args, emit: Emit) -> None:
     poly = hilbert_class_polynomial(args.D, cache_dir=args.cache_dir)
     value = ",".join(str(c) for c in poly.coeffs)
     emit(ExperimentRecord("hpoly", {}, D=args.D, h=poly.degree, value=value))
-    return 0
 
 
-def cmd_modpoly(args, emit: Emit) -> int:
+def cmd_modpoly(args, emit: Emit) -> None:
     phi = modular_polynomial(args.N)
     for (i, j), c in sorted(phi.coeffs.items()):
         emit(ExperimentRecord("modpoly", {"i": i, "j": j}, value=c))
-    return 0
 
 
-def cmd_ss(args, emit: Emit) -> int:
+def cmd_ss(args, emit: Emit) -> None:
     poly = supersingular_polynomial(args.p)
     value = ",".join(str(c.encoding) for c in poly.coeffs)
     emit(ExperimentRecord("ss", {"p": args.p}, value=value))
-    return 0
 
 
-def cmd_prop23(args, emit: Emit) -> int:
-    failed = False
+def cmd_prop23(args, emit: Emit) -> None:
     for D in args.D:
         for p in args.p:
             if D % (p * p) == 0:
                 continue
             for n in args.n:
                 report = verify_prop23(D, p, n, h_cap=args.h_cap, cache_dir=args.cache_dir)
-                ok = report.congruence_holds
-                failed = failed or not ok
                 emit(
                     ExperimentRecord(
                         "prop23",
@@ -129,50 +124,35 @@ def cmd_prop23(args, emit: Emit) -> int:
                         D=D,
                         h=class_number(D),
                         value=report.k,
-                        passed=ok,
+                        passed=report.congruence_holds,
                     )
                 )
-    return 2 if failed else 0
 
 
-def cmd_kronecker_congruence(args, emit: Emit) -> int:
-    failed = False
+def cmd_kronecker_congruence(args, emit: Emit) -> None:
     for p in args.p:
         ok = kronecker_congruence_check(p)
-        failed = failed or not ok
         emit(ExperimentRecord("kronecker-congruence", {"p": p}, passed=ok))
-    return 2 if failed else 0
 
 
-def cmd_michel(args, emit: Emit) -> int:
-    failed = False
-    ss_lifted: dict[int, FqPoly] = {}  # ss_p over F_{p^2}, built at the first inert D
-    for D in discriminants_upto(args.D_cap):
-        if not is_fundamental_discriminant(D):
-            continue
-        h = class_number(D)
-        if args.h_cap and h > args.h_cap:
-            continue
+def cmd_michel(args, emit: Emit) -> None:
+    # michel_counts keys only roots of ss_p over F_{p^2} and raises
+    # VerificationFailed (exit 2) unless their multiplicities sum to h(D),
+    # so every histogram it returns passes
+    for D, h in discriminant_grid(args.D_cap, args.h_cap, is_fundamental_discriminant):
         inert = [p for p in args.p if kronecker(D, p) == -1]
         if inert:
             hilbert_class_polynomial(D, cache_dir=args.cache_dir)
         for p in inert:
             counts = michel_counts(D, p)
-            if p not in ss_lifted:
-                ss_lifted[p] = lift_poly(supersingular_polynomial(p), fq_context(p, 2))
-            ss = ss_lifted[p]
-            contained = all(ss.evaluate(r).is_zero for r in counts)
-            ok = contained and sum(counts.values()) == h
-            failed = failed or not ok
             value = ";".join(
                 f"{r.encoding}:{m}" for r, m in sorted(counts.items(), key=lambda kv: kv[0].encoding)
             )
-            emit(ExperimentRecord("michel", {"p": p}, D=D, h=h, value=value, passed=ok))
-    return 2 if failed else 0
+            emit(ExperimentRecord("michel", {"p": p}, D=D, h=h, value=value, passed=True))
 
 
-def cmd_gcd_growth(args, emit: Emit) -> int:
-    records = harness.gcd_growth_rational(
+def cmd_gcd_growth(args, emit: Emit) -> None:
+    harness.gcd_growth_rational(
         args.a,
         args.b,
         args.p,
@@ -181,37 +161,25 @@ def cmd_gcd_growth(args, emit: Emit) -> int:
         cache_dir=args.cache_dir,
         sink=emit,
     )
-    summary = records[-1]
-    return 2 if summary.passed is False else 0
 
 
-def cmd_support_modular(args, emit: Emit) -> int:
+def cmd_support_modular(args, emit: Emit) -> None:
     harness.support_scan_modular(
         args.j, args.j2, args.D_cap, h_cap=args.h_cap, cache_dir=args.cache_dir, sink=emit
     )
-    return 0
 
 
-def cmd_support_cyclotomic(args, emit: Emit) -> int:
+def cmd_support_cyclotomic(args, emit: Emit) -> None:
     harness.support_scan_cyclotomic(args.a, args.b, args.n_max, args.S, sink=emit)
-    return 0
 
 
-def cmd_support_multiplicative(args, emit: Emit) -> int:
+def cmd_support_multiplicative(args, emit: Emit) -> None:
     harness.support_scan_multiplicative(args.a, args.b, args.n_max, args.S, sink=emit)
-    return 0
 
 
-def cmd_thm54(args, emit: Emit) -> int:
-    failed = False
-    for D in discriminants_upto(args.D_cap):
-        if D % 8 != 1:
-            continue
-        h = class_number(D)
-        if args.h_cap and h > args.h_cap:
-            continue
+def cmd_thm54(args, emit: Emit) -> None:
+    for D, h in discriminant_grid(args.D_cap, args.h_cap, lambda D: D % 8 == 1):
         report = verify_thm54(D, h_cap=args.h_cap, cache_dir=args.cache_dir)
-        failed = failed or not report.both
         emit(
             ExperimentRecord(
                 "thm54",
@@ -221,7 +189,6 @@ def cmd_thm54(args, emit: Emit) -> int:
                 passed=report.both,
             )
         )
-    return 2 if failed else 0
 
 
 def _checked_poly_pair(args) -> tuple[FqPoly, FqPoly]:
@@ -232,7 +199,7 @@ def _checked_poly_pair(args) -> tuple[FqPoly, FqPoly]:
     return A, B
 
 
-def cmd_ff_find(args, emit: Emit) -> int:
+def cmd_ff_find(args, emit: Emit) -> None:
     A, B = _checked_poly_pair(args)
     point = find_common_cm_point(A, B, args.p)
     emit(
@@ -245,15 +212,12 @@ def cmd_ff_find(args, emit: Emit) -> int:
             passed=True,
         )
     )
-    return 0
 
 
-def cmd_ff_growth(args, emit: Emit) -> int:
+def cmd_ff_growth(args, emit: Emit) -> None:
     A, B = _checked_poly_pair(args)
     rows = gcd_degree_growth(A, B, args.D0, args.p, args.k_max, h_cap=args.h_cap)
-    failed = False
     for row in rows:
-        failed = failed or not row.bound_ok
         emit(
             ExperimentRecord(
                 "ff-growth",
@@ -264,10 +228,9 @@ def cmd_ff_growth(args, emit: Emit) -> int:
                 passed=row.bound_ok,
             )
         )
-    return 2 if failed else 0
 
 
-def cmd_ordinary_scan(args, emit: Emit) -> int:
+def cmd_ordinary_scan(args, emit: Emit) -> None:
     harness.ordinary_scan(
         args.j,
         args.q_max,
@@ -275,7 +238,6 @@ def cmd_ordinary_scan(args, emit: Emit) -> int:
         cache_dir=args.cache_dir,
         sink=emit,
     )
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +343,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+# A failing record is a verification failure (exit 2), except in these
+# scans: the support problem asks for containment only for all but finitely
+# many D or n, so their failing rows are violations to report, and exit 0.
+SUPPORT_SCANS = frozenset({"support-modular", "support-cyclotomic", "support-multiplicative"})
+
+
 def main(argv: Iterable[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -390,8 +358,15 @@ def main(argv: Iterable[str] | None = None) -> int:
             print(f"hcpkit: --{name} entries must be prime", file=sys.stderr)
             return 1
     emitter = _CsvEmitter(sys.stdout) if args.out == "csv" else _JsonEmitter(sys.stdout)
+    failed = False
+
+    def emit(rec: ExperimentRecord) -> None:
+        nonlocal failed
+        failed = failed or rec.passed is False
+        emitter.emit(rec)
+
     try:
-        rc = args.func(args, emitter.emit)
+        args.func(args, emit)
     except (PreconditionFailed, UnsupportedLevel, ValueError) as exc:
         print(f"hcpkit: {exc}", file=sys.stderr)
         return 1
@@ -402,7 +377,7 @@ def main(argv: Iterable[str] | None = None) -> int:
         print(f"hcpkit: {exc}", file=sys.stderr)
         return 2
     emitter.close()
-    return rc
+    return 2 if failed and args.command not in SUPPORT_SCANS else 0
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
 
 from .arith import discriminants_upto
 from .classpoly import hilbert_class_polynomial

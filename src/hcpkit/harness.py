@@ -35,8 +35,10 @@ from .quadforms import class_number
 
 Sink = Callable[["ExperimentRecord"], None] | None
 
-# Pollard rho steps per attempt (8 attempts) in a witness search: under a
-# second on a 162-bit residue, after which it is reported composite
+# Witness search: trial division up to _WITNESS_FACTOR_BOUND, then Pollard
+# rho steps per attempt (8 attempts): under a second on a 162-bit residue,
+# after which it is reported composite
+_WITNESS_FACTOR_BOUND = 1 << 17
 _WITNESS_RHO_STEPS = 1 << 16
 
 
@@ -114,6 +116,25 @@ def write_json(records: Iterable[ExperimentRecord], fh) -> None:
 
 
 # ---------------------------------------------------------------------------
+# The discriminant grid the D-scans walk.
+
+
+def discriminant_grid(D_cap: int, h_cap: int, keep: Callable[[int], bool] | None = None):
+    """Yield (D, h(D)) for discriminants |D| <= D_cap, by increasing |D|.
+
+    keep(D) filters before h(D) is computed, so a rejected D costs no class
+    number; a D with h(D) > h_cap is skipped, and h_cap = 0 means no cap.
+    """
+    for D in discriminants_upto(D_cap):
+        if keep is not None and not keep(D):
+            continue
+        h = class_number(D)
+        if h_cap and h > h_cap:
+            continue
+        yield D, h
+
+
+# ---------------------------------------------------------------------------
 # Singular moduli (integer ones all have class number 1).
 
 
@@ -162,14 +183,13 @@ def gcd_growth_rational(
     for name, v in (("a", a), ("b", b)):
         if v in moduli:
             raise PreconditionFailed(f"{name} = {v} is the singular modulus of D = {moduli[v]}")
+
+    def inert(D: int) -> bool:
+        return is_fundamental_discriminant(D) and kronecker(D, p) == -1
+
     records: list[ExperimentRecord] = []
     best = None
-    for D in discriminants_upto(D_cap):
-        if not is_fundamental_discriminant(D) or kronecker(D, p) != -1:
-            continue
-        h = class_number(D)
-        if h_cap and h > h_cap:
-            continue
+    for D, h in discriminant_grid(D_cap, h_cap, inert):
         poly = hilbert_class_polynomial(D, cache_dir=cache_dir)
         g = math.gcd(abs(poly.evaluate(a)), abs(poly.evaluate(b)))
         r = math.log(g) / h
@@ -204,7 +224,7 @@ def _strip_primes(n: int, S: Iterable[int]) -> int:
     return n
 
 
-def _violation_witness(x: int, y: int, factor_bound: int = 1 << 17):
+def _violation_witness(x: int, y: int):
     """A prime dividing x but not y, else a composite residue report.
 
     Callers guarantee the support test failed. A zero x (full support
@@ -228,7 +248,7 @@ def _violation_witness(x: int, y: int, factor_bound: int = 1 << 17):
     # prime, and it is below any prime that rho could split off the rest:
     # it is the least witness, and rho need not run.
     q = 2
-    while q <= factor_bound and q * q <= z:
+    while q <= _WITNESS_FACTOR_BOUND and q * q <= z:
         if z % q == 0:
             return q
         q += 1 if q == 2 else 2
@@ -268,10 +288,7 @@ def support_scan_modular(
     discriminant grid; each violation carries one witness prime."""
 
     def grid():
-        for D in discriminants_upto(D_cap):
-            h = class_number(D)
-            if h_cap and h > h_cap:
-                continue
+        for D, h in discriminant_grid(D_cap, h_cap):
             poly = hilbert_class_polynomial(D, cache_dir=cache_dir)
             fields = {"parameters": {"j": j, "j2": j2}, "D": D, "h": h}
             yield D, fields, poly.evaluate(j), poly.evaluate(j2)

@@ -8,11 +8,16 @@ import io
 import json
 from pathlib import Path
 
+from types import SimpleNamespace
+
 import pytest
 
 import hcpkit.classpoly
+import hcpkit.cli
 import hcpkit.finitefield
+import hcpkit.harness
 from hcpkit.cli import main
+from hcpkit.harness import ExperimentRecord
 from hcpkit.intpoly import IntPolynomial
 
 HEADER = "experiment,D,h,param1,param2,value,pass"
@@ -311,6 +316,88 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as exc:
             main(["prop23", "--D", "-7;x", "--p", "2", "--n", "1"])
         assert exc.value.code == 1
+
+
+def _fake_gcd_growth(a, b, p, D_cap, h_cap=2000, cache_dir=None, sink=None):
+    summary = ExperimentRecord("gcd-growth-summary", {"p": p}, value=0.0, passed=False)
+    sink(summary)
+    return [summary]
+
+
+# command, the module whose attribute is patched, the attribute, and its
+# stand-in, which makes the command produce exactly one failing row
+FAILING_ROWS = [
+    pytest.param(
+        ["prop23", "--D=-7", "--p", "2", "--n", "1"],
+        hcpkit.cli,
+        "verify_prop23",
+        lambda *args, **kwargs: SimpleNamespace(k=7, congruence_holds=False),
+        id="prop23",
+    ),
+    pytest.param(
+        ["kronecker-congruence", "--p", "2"],
+        hcpkit.cli,
+        "kronecker_congruence_check",
+        lambda p: False,
+        id="kronecker-congruence",
+    ),
+    pytest.param(
+        ["thm54", "--D-cap", "7"],
+        hcpkit.cli,
+        "verify_thm54",
+        lambda *args, **kwargs: SimpleNamespace(forward=True, backward=False, both=False),
+        id="thm54",
+    ),
+    pytest.param(
+        ["ff-growth", "--p", "2", "--A", "F2:0,1", "--B", "F2:0,0,1"]
+        + ["--D0", "-3", "--k-max", "0"],
+        hcpkit.cli,
+        "gcd_degree_growth",
+        lambda *args, **kwargs: [
+            SimpleNamespace(k=0, deg_gcd=0, h=1, ratio="0/1", bound_ok=False)
+        ],
+        id="ff-growth",
+    ),
+    pytest.param(
+        ["gcd-growth", "--a", "2", "--b", "4", "--p", "2", "--D-cap", "3"],
+        hcpkit.harness,
+        "gcd_growth_rational",
+        _fake_gcd_growth,
+        id="gcd-growth",
+    ),
+]
+
+
+def pass_column(fmt: str, out: str) -> list:
+    if fmt == "csv":
+        return [row[6] for row in rows_of(out)]
+    return [rec["pass"] for rec in json.loads(out)]
+
+
+class TestExitCodeRule:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv, module, name, fake", FAILING_ROWS)
+    def test_a_failing_row_is_exit_2(self, run, monkeypatch, fmt, argv, module, name, fake):
+        monkeypatch.setattr(module, name, fake)
+        rc, out, err = run("--out", fmt, *argv)
+        assert rc == 2
+        assert pass_column(fmt, out) == ["false" if fmt == "csv" else False]
+        assert err == ""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["support-modular", "--j", "0", "--j2", "1728", "--D-cap", "8"],
+            ["support-cyclotomic", "--a", "2", "--b", "4", "--n-max", "6"],
+            ["support-multiplicative", "--a", "2", "--b", "3", "--n-max", "4"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_support_scan_violations_are_exit_0(self, run, fmt, argv):
+        rc, out, _ = run("--out", fmt, *argv)
+        assert rc == 0
+        assert ("false" if fmt == "csv" else False) in pass_column(fmt, out)
 
 
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from sympy import Symbol, factor_list, Poly
 
+from hcpkit.arith import discriminants_upto, is_fundamental_discriminant, kronecker
 from hcpkit.classpoly import hilbert_class_polynomial
 from hcpkit.errors import NotFound, PreconditionFailed
 from hcpkit.harness import (
@@ -30,6 +31,7 @@ from hcpkit.harness import (
     write_json,
 )
 from hcpkit.intpoly import IntPolynomial
+from hcpkit.quadforms import class_number
 
 
 class TestRecordSerialization:
@@ -154,6 +156,18 @@ class TestGcdGrowthRational:
     def test_rejects_composite_characteristic(self):
         with pytest.raises(PreconditionFailed):
             gcd_growth_rational(2, 4, 6, 40)
+
+
+@pytest.mark.parametrize("h_cap", [0, 1, 3])
+def test_h_cap_skips_exactly_the_discriminants_over_the_cap(h_cap, cache_dir):
+    # h_cap = 0 means no cap
+    kept = [D for D in discriminants_upto(200) if not h_cap or class_number(D) <= h_cap]
+    inert = [D for D in kept if is_fundamental_discriminant(D) and kronecker(D, 2) == -1]
+    growth = gcd_growth_rational(2, 4, 2, 200, h_cap=h_cap, cache_dir=cache_dir)
+    assert [(r.D, r.h) for r in growth[:-1]] == [(D, class_number(D)) for D in inert]
+    scanned = []
+    support_scan_modular(2, 2, 200, h_cap=h_cap, cache_dir=cache_dir, sink=scanned.append)
+    assert [(r.D, r.h) for r in scanned] == [(D, class_number(D)) for D in kept]
 
 
 # driver, arguments, experiment name, grid key of a record, the grid keys in

@@ -150,6 +150,25 @@ class TestJTau:
             target = 1728 * mp.kleinj(t)
             assert abs(value - target) <= mp.ldexp(1, -(prec - 8)) * max(1, abs(target))
 
+    @pytest.mark.parametrize(
+        "tau",
+        [
+            lambda: mp.mpc(mp.mpf("0.3"), mp.mpf("0.41")),
+            lambda: mp.mpc(mp.mpf("0.23"), mp.mpf("1.31")),
+        ],
+        ids=["im-0.41", "generic"],
+    )
+    @pytest.mark.parametrize("prec", [96, 160, 1024, 4096])
+    def test_guard_keeps_32_bits_inside_the_documented_bound(self, tau, prec):
+        # j keeps about 37 bits to spare; without the 32 + g guard bits of
+        # the fixed-point series it keeps 0-3, which the plain bound misses
+        with mp.workprec(prec + 160):
+            t = tau()
+            value = j_tau(t, prec)
+            target = 1728 * mp.kleinj(t)
+            bound = mp.ldexp(1, -(prec - 8)) * max(1, abs(target))
+            assert abs(value - target) <= mp.ldexp(bound, -32)
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             j_tau(mp.mpc(0, 0.3), 128)
