@@ -10,6 +10,8 @@ import random
 from dataclasses import dataclass
 from math import gcd
 
+from .errors import NotFound
+
 # Deterministic Miller-Rabin witnesses for n < 2^64 (Sinclair/Jaeschke set).
 _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -185,6 +187,14 @@ def factorize(n: int, bound: int) -> Factorization:
     return Factorization(factors=factors, cofactor=cofactor)
 
 
+def prime_divisors(n: int) -> list[int]:
+    """Distinct primes of |n|, ascending; NotFound when rho leaves a cofactor."""
+    fac = factorize(n, 1 << 16)
+    if fac.cofactor != 1:
+        raise NotFound(f"Pollard rho could not split {fac.cofactor}, a factor of {n}")
+    return [p for p, _ in fac.factors]
+
+
 def _rho_split(n: int, budget: int) -> tuple[list[int], int]:
     """Primes of n split off by Pollard rho at `budget` steps per attempt,
     with repeats, and the product of the composites that resisted it."""
@@ -239,14 +249,15 @@ def _is_squarefree(n: int) -> bool:
 
 
 def multiplicative_order(a: int, p: int) -> int:
-    """Least k >= 1 with a^k = 1 mod p, for prime p and p not dividing a."""
+    """Least k >= 1 with a^k = 1 mod p, for prime p and p not dividing a;
+    NotFound when p - 1 cannot be fully factored."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     a %= p
     if a == 0:
         raise ValueError("a must be a unit mod p")
     k = p - 1
-    for q, _ in factorize(p - 1, bound=1 << 16).factors:
+    for q in prime_divisors(p - 1):
         while k % q == 0 and pow(a, k // q, p) == 1:
             k //= q
     return k

@@ -26,7 +26,7 @@ from pathlib import Path
 from mpmath import mp
 
 from .arith import is_discriminant, is_prime, kronecker
-from .errors import CapExceeded, CorruptCache
+from .errors import CapExceeded, CorruptCache, VerificationFailed
 from .intpoly import IntPolynomial
 from .modfunc import (
     MP_LOCK,
@@ -128,7 +128,7 @@ def verify_prop23(
     """Check H_{D p^(2n)} = H_D^k mod p and report the exponent k.
 
     k is (2 p^(n-1) / u)(p - kronecker(D, p)) with u the unit group order
-    for D; it must also equal the class number ratio, which is asserted.
+    for D; it must also equal the class number ratio, else VerificationFailed.
     """
     if not is_discriminant(D):
         raise ValueError(f"{D} is not a negative discriminant")
@@ -143,11 +143,13 @@ def verify_prop23(
     num = 2 * p ** (n - 1) * (p - kronecker(D, p))
     u = unit_group_order(D)
     if num % u:
-        raise ValueError(f"exponent formula not integral for D={D}, p={p}, n={n}")
+        raise VerificationFailed(f"exponent formula not integral for D={D}, p={p}, n={n}")
     k = num // u
     h_small = class_number(D)
     if k * h_small != h_big:
-        raise ValueError(f"exponent {k} disagrees with class number ratio {h_big}/{h_small}")
+        raise VerificationFailed(
+            f"exponent {k} disagrees with class number ratio {h_big}/{h_small}"
+        )
     h_d = hilbert_class_polynomial(D, cache_dir=cache_dir)
     h_big_poly = hilbert_class_polynomial(big_d, cache_dir=cache_dir)
     holds = h_big_poly.reduce_mod(p) == h_d.pow_mod(k, p)

@@ -1,58 +1,57 @@
 """Cyclotomic polynomials and the order-versus-divisibility test.
 
-Polynomials are built by iterated exact division of T^n - 1, staying in
-integer arithmetic. Values at an integer argument use the Moebius
-product over squarefree divisors instead, which survives the huge n
-arising from k * p^l without ever materializing the polynomial.
+Polynomials and values both come from one Moebius product over the
+squarefree e | n: a power series in integer arithmetic for the former, an
+exact integer quotient for the latter, which survives the huge n arising
+from k * p^l. Both raise NotFound when n cannot be fully factored.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 
-from .arith import factorize, is_prime, multiplicative_order
+from .arith import is_prime, multiplicative_order, prime_divisors
 from .errors import VerificationFailed
 from .intpoly import IntPolynomial
 
 
-def _divisors(n: int) -> list[int]:
-    fac = factorize(n, 1 << 16)
-    if fac.cofactor != 1:
-        raise ValueError(f"cannot fully factor {n}")
-    divs = [1]
-    for p, e in fac.factors:
-        divs = [d * p**i for d in divs for i in range(e + 1)]
-    return sorted(divs)
+def _squarefree_divisors(n: int) -> list[tuple[int, int]]:
+    """(e, mu(e)) for every squarefree e dividing n, starting with (1, 1)."""
+    out = [(1, 1)]
+    for q in prime_divisors(n):
+        out += [(e * q, -mu) for e, mu in out]
+    return out
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> IntPolynomial:
-    """The n-th cyclotomic polynomial, by exact division of T^n - 1."""
+    """The n-th cyclotomic polynomial, prod (1 - T^(n/e))^mu(e) cut at degree
+    phi(n) for n > 1; NotFound when n cannot be fully factored."""
     if n < 1:
         raise ValueError("n must be positive")
-    f = IntPolynomial((-1,) + (0,) * (n - 1) + (1,))
-    for d in _divisors(n):
-        if d < n:
-            f = f.divexact(cyclotomic_polynomial(d))
-    return f
-
-
-def _prime_power_radical(n: int) -> int | None:
-    """The prime q when n = q^e, else None."""
-    fac = factorize(n, 1 << 16)
-    if fac.cofactor == 1 and len(fac.factors) == 1:
-        return fac.factors[0][0]
-    return None
+    if n == 1:
+        return IntPolynomial((-1, 1))
+    divisors = _squarefree_divisors(n)
+    phi = sum(mu * (n // e) for e, mu in divisors)
+    c = [1] + [0] * phi
+    for e, mu in divisors:
+        d = n // e
+        if mu > 0:  # times 1 - T^d
+            for i in range(phi, d - 1, -1):
+                c[i] -= c[i - d]
+        else:  # divided by 1 - T^d
+            for i in range(d, phi + 1):
+                c[i] += c[i - d]
+    return IntPolynomial(tuple(c))
 
 
 def cyclotomic_value(n: int, a: int) -> int:
     """The n-th cyclotomic polynomial evaluated at the integer a.
 
-    For |a| >= 2 this is the exact quotient of Moebius-signed products
-    of a^d - 1 over squarefree divisors; the handful of |a| <= 1 cases
-    follow closed forms. Equal to cyclotomic_polynomial(n).evaluate(a)
-    but usable when n is far too large to expand.
+    For |a| >= 2 this is the exact quotient of Moebius-signed products of
+    a^(n/e) - 1; at a = 1 it is q when n = q^k, else 1, and a = 0, -1
+    reduce to that. Equal to cyclotomic_polynomial(n).evaluate(a) but usable
+    when n is far too large to expand. NotFound when n cannot be factored.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -60,37 +59,20 @@ def cyclotomic_value(n: int, a: int) -> int:
         return a - 1
     if n == 2:
         return a + 1
-    if a == 0:
+    if a == 0 or (a == -1 and n % 2):
         return 1
-    if a == 1:
-        q = _prime_power_radical(n)
-        return q if q is not None else 1
     if a == -1:
-        if n % 2:
-            return 1
-        m = n // 2
-        if m % 2:  # n = 2m, m odd: value is the m-th polynomial at 1
-            q = _prime_power_radical(m)
-            return q if q is not None else 1
-        if m & (m - 1) == 0:  # n a power of two, at least 4
-            return 2
-        return 1
-    fac = factorize(n, 1 << 16)
-    if fac.cofactor != 1:
-        raise ValueError(f"cannot fully factor {n}")
-    primes = [p for p, _ in fac.factors]
-    num = 1
-    den = 1
-    for size in range(len(primes) + 1):
-        for subset in combinations(primes, size):
-            e = 1
-            for p in subset:
-                e *= p
-            term = a ** (n // e) - 1
-            if size % 2 == 0:
-                num *= term
-            else:
-                den *= term
+        # Phi_2m(-1) = Phi_m(1) for odd m > 1; Phi_n(-1) = Phi_n(1) when 4 | n
+        n, a = (n // 2 if n % 4 else n), 1
+    divisors = _squarefree_divisors(n)
+    if a == 1:
+        return divisors[1][0] if len(divisors) == 2 else 1
+    num = den = 1
+    for e, mu in divisors:
+        if mu > 0:
+            num *= a ** (n // e) - 1
+        else:
+            den *= a ** (n // e) - 1
     q, r = divmod(num, den)
     if r:
         raise VerificationFailed("Moebius product did not divide exactly")

@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import count
 from math import isqrt
 
-from .arith import factorize, is_fundamental_discriminant, is_prime, kronecker
+from .arith import is_fundamental_discriminant, is_prime, kronecker, prime_divisors
 from .errors import (
     FieldMismatch,
     FieldTooLarge,
@@ -137,7 +137,7 @@ def _fp_is_irreducible(f: tuple[int, ...], p: int) -> bool:
         frob.append(t)
     if frob[m] != _fp_divmod(x, f, p)[1]:
         return False
-    for r in {q for q, _ in factorize(m, 1 << 16).factors}:
+    for r in prime_divisors(m):
         h = _fp_sub(frob[m // r], x, p)
         if len(_fp_gcd(h, f, p)) != 1:
             return False
@@ -208,7 +208,7 @@ class Fq:
             yield self.from_encoding(enc)
 
     def multiplicative_generator(self) -> FqElement:
-        primes = sorted({r for r, _ in factorize(self.q - 1, 1 << 16).factors})
+        primes = prime_divisors(self.q - 1)
         for enc in range(1, self.q):
             g = self.from_encoding(enc)
             if all(g ** ((self.q - 1) // r) != self.one() for r in primes):

@@ -16,6 +16,7 @@ from hcpkit.arith import (
     is_prime,
     kronecker,
     multiplicative_order,
+    prime_divisors,
     support_subset_int,
 )
 
@@ -115,6 +116,13 @@ class TestFactorize:
         primes, cofactor = _rho_split(1000003**2 * 1000033, 1 << 16)
         assert sorted(primes) == [1000003, 1000003, 1000033]
         assert cofactor == 1
+
+
+class TestPrimeDivisors:
+    @given(st.integers(2, 10**9))
+    @settings(max_examples=60)
+    def test_matches_sympy(self, n):
+        assert prime_divisors(n) == sympy.primefactors(n)
 
 
 class TestDiscriminantPredicates:

@@ -17,6 +17,7 @@ import hcpkit.cli
 import hcpkit.finitefield
 import hcpkit.harness
 from hcpkit.cli import main
+from hcpkit.errors import VerificationFailed
 from hcpkit.harness import ExperimentRecord
 from hcpkit.intpoly import IntPolynomial
 
@@ -121,6 +122,22 @@ class TestVerifyingCommands:
         rc, _, err = run("--h-cap", "10", "prop23", "--D", "-15", "--p", "7", "--n", "2")
         assert rc == 3
         assert "exceeds cap" in err
+
+    @pytest.mark.parametrize(
+        "name, fake, message",
+        [
+            ("unit_group_order", lambda D: 3, "not integral"),
+            ("class_number", lambda D: 2, "disagrees with class number ratio"),
+        ],
+        ids=["exponent_not_integral", "exponent_not_class_number_ratio"],
+    )
+    def test_prop23_broken_identity_is_exit_2(self, run, monkeypatch, name, fake, message):
+        monkeypatch.setattr(hcpkit.classpoly, name, fake)
+        with pytest.raises(VerificationFailed, match=message):
+            hcpkit.classpoly.verify_prop23(-7, 3, 1)
+        rc, out, err = run("prop23", "--D=-7", "--p", "3", "--n", "1")
+        assert rc == 2
+        assert message in err
 
     def test_kronecker_congruence(self, run):
         rc, out, _ = run("kronecker-congruence", "--p", "2,3")

@@ -2,19 +2,22 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Poly, Symbol
 from sympy import cyclotomic_poly as sympy_cyclotomic
 
-from hcpkit.arith import multiplicative_order
+from hcpkit.arith import Factorization, factorize, multiplicative_order
 from hcpkit.cyclomult import (
     cyclotomic_congruence_check,
     cyclotomic_polynomial,
     cyclotomic_value,
     lemma44_check,
 )
+from hcpkit.errors import NotFound
 from hcpkit.intpoly import IntPolynomial
 
 T = Symbol("T")
@@ -25,7 +28,10 @@ def sympy_coeffs(n):
 
 
 class TestPolynomial:
-    @pytest.mark.parametrize("n", list(range(1, 121)))
+    # past 120: many distinct primes (210 ... 2310) and high prime powers
+    @pytest.mark.parametrize(
+        "n", list(range(1, 121)) + [128, 210, 243, 330, 420, 462, 625, 1155, 2310]
+    )
     def test_matches_reference_construction(self, n):
         assert cyclotomic_polynomial(n).coeffs == sympy_coeffs(n)
 
@@ -56,6 +62,12 @@ class TestValue:
     def test_agrees_with_expanded_polynomial(self, n, a):
         assert cyclotomic_value(n, a) == cyclotomic_polynomial(n).evaluate(a)
 
+    @pytest.mark.parametrize("a", [-1, 0, 1])
+    def test_closed_forms_match_sympy(self, a):
+        # covers n = 2 q^e, 4 * odd and every power of two below 400
+        for n in range(1, 401):
+            assert cyclotomic_value(n, a) == sympy_cyclotomic(n, a), n
+
     def test_large_index_without_expansion(self):
         # p divides the value at the (k p^l)-th index exactly when k is
         # the order; the expanded polynomial would have ~29000 terms
@@ -75,6 +87,44 @@ class TestValue:
     def test_rejects_nonpositive_index(self):
         with pytest.raises(ValueError):
             cyclotomic_value(0, 2)
+
+
+@pytest.fixture
+def factorize_leaves_cofactor(monkeypatch):
+    """Every hcpkit module's `factorize` hands its largest prime power back
+    as an unfactored cofactor, as Pollard rho does when its budget runs out."""
+
+    def partial(n, bound):
+        fac = factorize(n, bound)
+        (q, e), rest = fac.factors[-1], fac.factors[:-1]
+        return Factorization(factors=rest, cofactor=fac.cofactor * q**e)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hcpkit" and hasattr(module, "factorize"):
+            monkeypatch.setattr(module, "factorize", partial)
+    cyclotomic_polynomial.cache_clear()
+    yield
+    cyclotomic_polynomial.cache_clear()
+
+
+class TestIncompleteFactorization:
+    """A cofactor left by Pollard rho is NotFound, never a wrong answer."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: cyclotomic_value(9, 1),
+            lambda: cyclotomic_value(18, -1),
+            lambda: cyclotomic_value(12, 2),
+            lambda: cyclotomic_polynomial(12),
+            lambda: multiplicative_order(2, 11),
+            lambda: lemma44_check(2, 11, 10),
+        ],
+        ids=["value_at_1", "value_at_minus_1", "value_at_2", "polynomial", "order", "lemma44"],
+    )
+    def test_raises_not_found(self, factorize_leaves_cofactor, call):
+        with pytest.raises(NotFound):
+            call()
 
 
 class TestLemma44:
