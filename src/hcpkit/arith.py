@@ -195,9 +195,31 @@ def prime_divisors(n: int) -> list[int]:
     return [p for p, _ in fac.factors]
 
 
+def _iroot(n: int, k: int) -> int:
+    """The largest r with r**k <= n, for n >= 0 and k >= 1 (Newton from above)."""
+    if n < 2:
+        return n
+    r = 1 << -(-n.bit_length() // k)
+    while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+        r = s
+    return r
+
+
+def _perfect_power(n: int) -> tuple[int, int] | None:
+    """(r, k) with r**k == n for the least prime k that has one, or None."""
+    for k in range(2, n.bit_length() + 1):
+        if is_prime(k) and (r := _iroot(n, k)) ** k == n:
+            return r, k
+    return None
+
+
 def _rho_split(n: int, budget: int) -> tuple[list[int], int]:
     """Primes of n split off by Pollard rho at `budget` steps per attempt,
-    with repeats, and the product of the composites that resisted it."""
+    with repeats, and the product of the composites that resisted it.
+
+    A composite that is a perfect power r^k is split into k copies of r
+    first: rho finds no factor of a prime power like q^2 within its budget
+    once q is large."""
     primes: list[int] = []
     cofactor = 1
     pending = [n] if n > 1 else []
@@ -205,6 +227,9 @@ def _rho_split(n: int, budget: int) -> tuple[list[int], int]:
         v = pending.pop()
         if is_prime(v):
             primes.append(v)
+        elif power := _perfect_power(v):
+            r, k = power
+            pending += [r] * k
         elif (d := _pollard_rho(v, budget)) == v:
             cofactor *= v
         else:

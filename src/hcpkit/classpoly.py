@@ -11,8 +11,11 @@ per-root gate the rounding step applies to coefficients. Every factor is
 real, so the product tree multiplies no complex numbers. The expansion,
 the rounding gates and the doubling retry ladder (three retries, then
 PrecisionExhausted) are modfunc's, shared with the modular polynomials.
-Cache files are plain text with a CRC-64/XZ trailer and are written via
-atomic rename.
+Cache files are plain text written via atomic rename. Version 2 files
+(``HDPOLY 2``, the only ones written) end in a CRC-32 trailer, the
+checksum of RFC 1952 that ``zlib.crc32`` computes in C. Version 1 files
+(``HDPOLY 1``) end in a CRC-64/XZ trailer; they are still read, checked
+with the pure-Python ``crc64_xz``, and are not rewritten.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import os
 import tempfile
 import threading
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -176,6 +180,7 @@ _CRC_TABLE = _crc_table()
 
 
 def crc64_xz(data: bytes) -> int:
+    """CRC-64/XZ of data, the checksum of version 1 cache files."""
     crc = 0xFFFFFFFFFFFFFFFF
     for byte in data:
         crc = (crc >> 8) ^ _CRC_TABLE[(crc ^ byte) & 0xFF]
@@ -190,10 +195,10 @@ def cache_store(D: int, poly: IntPolynomial, cache_dir: str | Path) -> Path:
     """Write the cache file for D atomically; returns the final path."""
     path = _cache_path(D, cache_dir)
     path.parent.mkdir(parents=True, exist_ok=True)
-    body_lines = ["HDPOLY 1", str(D), str(poly.degree)]
+    body_lines = ["HDPOLY 2", str(D), str(poly.degree)]
     body_lines.extend(str(c) for c in poly.coeffs)
     body = ("\n".join(body_lines) + "\n").encode("ascii")
-    trailer = f"CRC64 {crc64_xz(body):016x}\n".encode("ascii")
+    trailer = f"CRC32 {zlib.crc32(body):08x}\n".encode("ascii")
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -218,14 +223,21 @@ def cache_load(D: int, cache_dir: str | Path) -> IntPolynomial | None:
         lines = text.split("\n")
         while lines and lines[-1] == "":
             lines.pop()
-        if not lines or not lines[-1].startswith("CRC64 "):
-            raise CorruptCache(f"{path}: missing checksum line")
-        crc_line = lines[-1]
-        body = raw[: raw.rindex(b"CRC64 ")]
-        if crc64_xz(body) != int(crc_line.split()[1], 16):
-            raise CorruptCache(f"{path}: checksum mismatch")
-        if lines[0] != "HDPOLY 1":
+        if not lines:
+            raise CorruptCache(f"{path}: empty file")
+        # the magic line names the trailer; crc64_xz is looked up at call
+        # time, so a rebinding of it (tests, tracing) takes effect
+        if lines[0] == "HDPOLY 2":
+            tag, checksum = "CRC32 ", zlib.crc32
+        elif lines[0] == "HDPOLY 1":
+            tag, checksum = "CRC64 ", crc64_xz
+        else:
             raise CorruptCache(f"{path}: bad magic")
+        if not lines[-1].startswith(tag):
+            raise CorruptCache(f"{path}: missing checksum line")
+        body = raw[: raw.rindex(tag.encode("ascii"))]
+        if checksum(body) != int(lines[-1].split()[1], 16):
+            raise CorruptCache(f"{path}: checksum mismatch")
         file_d = int(lines[1])
         h = int(lines[2])
         if len(lines) != h + 5:  # magic, D, h, h+1 coefficients, checksum

@@ -4,6 +4,10 @@ Elements are (u + v*sqrt5)/2 with u and v of equal parity. The ring is
 norm-Euclidean, so gcds come from rounding exact quotients to the nearest
 lattice point, and "every prime of x divides y" is decided by repeated
 gcd stripping with no factorization of the enormous norms involved.
+
+The arithmetic runs on (u, v) pairs of plain ints in the private helpers
+below; QuadIntEl and the public functions wrap their inputs and results,
+so a Euclidean loop builds no element per step.
 """
 
 from __future__ import annotations
@@ -82,21 +86,13 @@ class QuadIntEl:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        big_u = self.u * o.u + 5 * self.v * o.v
-        big_v = self.u * o.v + self.v * o.u
-        return QuadIntEl(big_u // 2, big_v // 2)
+        return QuadIntEl(*_mul(self.u, self.v, o.u, o.v))
 
     __rmul__ = __mul__
 
     def divexact(self, d: QuadIntEl) -> QuadIntEl:
         """Exact quotient self/d; ValueError when d does not divide self."""
-        if d.is_zero:
-            raise ZeroDivisionError("division by zero")
-        num = self * d.conjugate()
-        n = d.norm()
-        if num.u % n or num.v % n:
-            raise ValueError("inexact division")
-        return QuadIntEl(num.u // n, num.v // n)
+        return QuadIntEl(*_divexact(self.u, self.v, d.u, d.v))
 
     def __repr__(self) -> str:
         return f"QuadIntEl({self.u}, {self.v})"
@@ -111,11 +107,57 @@ H_M15_ROOT = QuadIntEl(-191025, -85995)
 H_M15_ROOT_CONJ = H_M15_ROOT.conjugate()
 
 
-def _round_nearest(a: int, b: int) -> int:
-    """Nearest integer to a/b, halves away from ties consistently."""
-    if b < 0:
-        a, b = -a, -b
-    return (2 * a + b) // (2 * b)
+# ---------------------------------------------------------------------------
+# The ring on (u, v) int pairs, each pair standing for (u + v*sqrt5)/2.
+
+
+def _mul(xu: int, xv: int, yu: int, yv: int) -> tuple[int, int]:
+    return (xu * yu + 5 * xv * yv) // 2, (xu * yv + xv * yu) // 2
+
+
+def _divmod(xu: int, xv: int, du: int, dv: int) -> tuple[int, int, int, int]:
+    """Quotient and remainder pairs of x by nonzero d, as divmod_euclid."""
+    n = (du * du - 5 * dv * dv) // 4
+    # x * conj(d) = (U + V*sqrt5)/2, and the exact quotient x/d is r + s*phi
+    # with r = (U - V)/(2N) and s = V/N; each rounds to the nearest
+    # integer, halves up, after the signs are moved so that N > 0
+    big_u = (xu * du - 5 * xv * dv) // 2
+    big_v = (xv * du - xu * dv) // 2
+    if n < 0:
+        n, big_u, big_v = -n, -big_u, -big_v
+    s = (2 * big_v + n) // (2 * n)
+    r = (big_u - big_v + n) // (2 * n)
+    qu = 2 * r + s
+    return qu, s, xu - (qu * du + 5 * s * dv) // 2, xv - (qu * dv + s * du) // 2
+
+
+def _gcd(xu: int, xv: int, yu: int, yv: int) -> tuple[int, int]:
+    while yu or yv:
+        _, _, ru, rv = _divmod(xu, xv, yu, yv)
+        xu, xv, yu, yv = yu, yv, ru, rv
+    return xu, xv
+
+
+def _divexact(xu: int, xv: int, du: int, dv: int) -> tuple[int, int]:
+    if not (du or dv):
+        raise ZeroDivisionError("division by zero")
+    n = (du * du - 5 * dv * dv) // 4
+    big_u, big_v = _mul(xu, xv, du, -dv)
+    if big_u % n or big_v % n:
+        raise ValueError("inexact division")
+    return big_u // n, big_v // n
+
+
+def _horner(coeffs, u: int, v: int) -> tuple[int, int]:
+    acc_u = acc_v = 0
+    for c in reversed(tuple(coeffs)):
+        acc_u, acc_v = _mul(acc_u, acc_v, u, v)
+        acc_u += 2 * int(c)
+    return acc_u, acc_v
+
+
+# ---------------------------------------------------------------------------
+# Public wrappers.
 
 
 def divmod_euclid(x: QuadIntEl, d: QuadIntEl) -> tuple[QuadIntEl, QuadIntEl]:
@@ -127,23 +169,15 @@ def divmod_euclid(x: QuadIntEl, d: QuadIntEl) -> tuple[QuadIntEl, QuadIntEl]:
     """
     if d.is_zero:
         raise ZeroDivisionError("division by zero")
-    num = x * d.conjugate()
-    n = d.norm()
-    # exact quotient = r + s*phi with r = (U - V)/(2N), s = V/N
-    s = _round_nearest(num.v, n)
-    r = _round_nearest(num.u - num.v, 2 * n)
-    q = QuadIntEl(2 * r + s, s)
-    return q, x - q * d
+    qu, qv, ru, rv = _divmod(x.u, x.v, d.u, d.v)
+    return QuadIntEl(qu, qv), QuadIntEl(ru, rv)
 
 
 def euclidean_gcd(x: QuadIntEl, y: QuadIntEl) -> QuadIntEl:
     """A gcd of x and y, determined up to the (infinite) unit group."""
     if x.is_zero and y.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    while not y.is_zero:
-        _, rem = divmod_euclid(x, y)
-        x, y = y, rem
-    return x
+    return QuadIntEl(*_gcd(x.u, x.v, y.u, y.v))
 
 
 def support_subset(x: QuadIntEl, y: QuadIntEl) -> bool:
@@ -173,10 +207,7 @@ def support_subset(x: QuadIntEl, y: QuadIntEl) -> bool:
 
 def evaluate_at(coeffs, x: QuadIntEl) -> QuadIntEl:
     """Horner evaluation of an integer polynomial at a ring element."""
-    acc = QuadIntEl.from_int(0)
-    for c in reversed(tuple(coeffs)):
-        acc = acc * x + int(c)
-    return acc
+    return QuadIntEl(*_horner(coeffs, x.u, x.v))
 
 
 @dataclass(frozen=True)

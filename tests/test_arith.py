@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcpkit.arith import (
+    _iroot,
+    _perfect_power,
     _pollard_rho,
     _rho_split,
     factorize,
@@ -123,6 +125,50 @@ class TestPrimeDivisors:
     @settings(max_examples=60)
     def test_matches_sympy(self, n):
         assert prime_divisors(n) == sympy.primefactors(n)
+
+
+Q48 = 281474976710677  # the least prime above 2^48
+R48 = 281474976711749  # a prime just above it; Q48 * R48 is 98 bits
+
+
+class TestPerfectPowers:
+    """Rho cannot split q^k for a 48-bit q within its budget; the
+    perfect-power test ahead of it must."""
+
+    def test_prime_square(self, time_limit):
+        with time_limit(5):
+            assert prime_divisors(Q48 * Q48) == [Q48]
+
+    def test_prime_cube_beside_a_small_prime(self, time_limit):
+        with time_limit(5):
+            fac = factorize(7 * Q48**3, 1 << 16)
+        assert fac.factors == ((7, 1), (Q48, 3))
+        assert fac.cofactor == 1
+
+    def test_power_of_a_semiprime(self):
+        primes, cofactor = _rho_split((1000003 * 1000033) ** 2, 1 << 16)
+        assert sorted(primes) == [1000003, 1000003, 1000033, 1000033]
+        assert cofactor == 1
+
+    def test_semiprime_is_not_a_perfect_power(self):
+        # rho still hands this one back: multiplicative_order at p = 2qr + 1
+        # keeps raising NotFound rather than returning a wrong order
+        assert _perfect_power(Q48 * R48) is None
+
+    @given(st.integers(2, 10**30), st.integers(2, 12))
+    @settings(max_examples=80)
+    def test_power_found_with_least_prime_exponent(self, r, k):
+        found = _perfect_power(r**k)
+        assert found is not None
+        root, e = found
+        assert root**e == r**k
+        assert e == min(sympy.primefactors(sympy.perfect_power(r**k)[1]))
+
+    @given(st.integers(0, 10**60), st.integers(1, 20))
+    @settings(max_examples=150)
+    def test_iroot_is_the_floor_root(self, n, k):
+        r = _iroot(n, k)
+        assert r**k <= n < (r + 1) ** k
 
 
 class TestDiscriminantPredicates:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import zlib
 from pathlib import Path
 
 import pytest
@@ -201,6 +202,18 @@ def test_pinned_digests_of_every_fundamental_discriminant_to_1000(monkeypatch):
     assert attempts == discriminants
 
 
+H_M15 = IntPolynomial((-121287375, 191025, 1))
+
+
+def write_v1(D: int, poly: IntPolynomial, cache_dir: Path, magic: str = "HDPOLY 1") -> Path:
+    """A cache file as version 1 wrote it: CRC-64/XZ trailer."""
+    lines = [magic, str(D), str(poly.degree), *map(str, poly.coeffs)]
+    body = "".join(line + "\n" for line in lines).encode("ascii")
+    path = cache_dir / f"hd_{abs(D)}.txt"
+    path.write_bytes(body + f"CRC64 {crc64_xz(body):016x}\n".encode("ascii"))
+    return path
+
+
 class TestCacheFormat:
     def test_crc64_check_vector(self):
         assert crc64_xz(b"123456789") == 0x995DC9BBDF1939FA
@@ -236,6 +249,48 @@ class TestCacheFormat:
         cache_store(-3, IntPolynomial((0, 1)), tmp_path)
         (tmp_path / "hd_3.txt").rename(tmp_path / "hd_15.txt")
         with pytest.raises(CorruptCache):
+            cache_load(-15, tmp_path)
+
+    def test_store_writes_version_2_with_crc32(self, tmp_path):
+        raw = cache_store(-15, H_M15, tmp_path).read_bytes()
+        assert raw.startswith(b"HDPOLY 2\n")
+        body, trailer = raw[: raw.rindex(b"CRC32 ")], raw[raw.rindex(b"CRC32 ") :]
+        assert trailer == b"CRC32 %08x\n" % zlib.crc32(body)
+        assert body.count(b"\n") == 6  # magic, D, h, three coefficients
+
+    def test_version_2_never_reaches_crc64(self, tmp_path, monkeypatch):
+        def crc64_called(data):
+            raise AssertionError("crc64_xz on a version 2 file")
+
+        monkeypatch.setattr(classpoly, "crc64_xz", crc64_called)
+        cache_store(-15, H_M15, tmp_path)
+        assert cache_load(-15, tmp_path) == H_M15
+
+    def test_version_1_loads_and_is_not_rewritten(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(classpoly, "_memo", {})
+        path = write_v1(-15, H_M15, tmp_path)
+        before = path.read_bytes()
+        assert cache_load(-15, tmp_path) == H_M15
+        assert hilbert_class_polynomial(-15, cache_dir=tmp_path) == H_M15
+        assert path.read_bytes() == before
+
+    def test_version_1_flipped_byte_detected(self, tmp_path):
+        path = write_v1(-15, H_M15, tmp_path)
+        data = bytearray(path.read_bytes())
+        data[20] ^= 0x01
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptCache):
+            cache_load(-15, tmp_path)
+
+    def test_unknown_version_rejected(self, tmp_path):
+        write_v1(-15, H_M15, tmp_path, magic="HDPOLY 3")
+        with pytest.raises(CorruptCache, match="bad magic"):
+            cache_load(-15, tmp_path)
+        path = cache_store(-15, H_M15, tmp_path)
+        body = path.read_bytes().replace(b"HDPOLY 2", b"HDPOLY 3", 1)
+        body = body[: body.rindex(b"CRC32 ")]
+        path.write_bytes(body + b"CRC32 %08x\n" % zlib.crc32(body))
+        with pytest.raises(CorruptCache, match="bad magic"):
             cache_load(-15, tmp_path)
 
 

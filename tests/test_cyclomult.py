@@ -127,6 +127,19 @@ class TestIncompleteFactorization:
             call()
 
 
+class TestPrimePowerArguments:
+    # the least prime above 2^48: rho alone cannot split its square
+    Q = 281474976710677
+
+    def test_value_at_1(self, time_limit):
+        with time_limit(5):
+            assert cyclotomic_value(self.Q**2, 1) == self.Q
+
+    def test_value_at_minus_1(self, time_limit):
+        with time_limit(5):
+            assert cyclotomic_value(2 * self.Q**2, -1) == self.Q
+
+
 class TestLemma44:
     def test_known_order_case(self):
         # 2 has order 3 mod 7

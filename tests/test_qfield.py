@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
@@ -29,6 +30,161 @@ def elements(max_size=10**6):
     # u and v must share parity; a+b and a-b always do
     pair = st.tuples(st.integers(-max_size, max_size), st.integers(-max_size, max_size))
     return pair.map(lambda ab: QuadIntEl(ab[0] + ab[1], ab[0] - ab[1]))
+
+
+# ---------------------------------------------------------------------------
+# The element-by-element arithmetic the int-pair helpers replaced, kept as
+# their oracle. It builds every intermediate as a QuadIntEl and uses none of
+# the operators that now run on pairs.
+
+
+def ref_mul(x, y):
+    return QuadIntEl((x.u * y.u + 5 * x.v * y.v) // 2, (x.u * y.v + x.v * y.u) // 2)
+
+
+def ref_round_nearest(a, b):
+    if b < 0:
+        a, b = -a, -b
+    return (2 * a + b) // (2 * b)
+
+
+def ref_divmod(x, d):
+    num = ref_mul(x, d.conjugate())
+    n = d.norm()
+    s = ref_round_nearest(num.v, n)
+    r = ref_round_nearest(num.u - num.v, 2 * n)
+    q = QuadIntEl(2 * r + s, s)
+    qd = ref_mul(q, d)
+    return q, QuadIntEl(x.u - qd.u, x.v - qd.v)
+
+
+def ref_gcd(x, y):
+    while not y.is_zero:
+        x, y = y, ref_divmod(x, y)[1]
+    return x
+
+
+def ref_divexact(x, d):
+    num = ref_mul(x, d.conjugate())
+    n = d.norm()
+    if num.u % n or num.v % n:
+        raise ValueError("inexact division")
+    return QuadIntEl(num.u // n, num.v // n)
+
+
+def ref_support_subset(x, y):
+    if x.is_zero:
+        return y.is_zero
+    if x.is_unit or y.is_zero:
+        return True
+    if y.is_unit:
+        return False
+    z = x
+    while not (g := ref_gcd(z, y)).is_unit:
+        z = ref_divexact(z, g)
+    return z.is_unit
+
+
+def ref_evaluate(coeffs, x):
+    acc = QuadIntEl(0, 0)
+    for c in reversed(tuple(coeffs)):
+        acc = ref_mul(acc, x)
+        acc = QuadIntEl(acc.u + 2 * int(c), acc.v)
+    return acc
+
+
+# zero, units of both signs and norms, small primes of each kind, and the
+# H_{-15} root pair the verifier evaluates at
+SPECIAL = [
+    QuadIntEl(0, 0),
+    QuadIntEl(2, 0),
+    QuadIntEl(-2, 0),
+    PHI,
+    -PHI,
+    PHI.conjugate(),
+    QuadIntEl(7, 3),  # phi^4
+    QuadIntEl(-11, 5),  # -phi^(-5)
+    SQRT5,
+    QuadIntEl(8, 2),  # norm 11
+    QuadIntEl(-8, 2),
+    QuadIntEl(6, 0),
+    H_M15_ROOT,
+    H_M15_ROOT_CONJ,
+]
+
+
+def oracle_elements(max_size=10**6):
+    """Special elements, plain ones with coordinates of either sign, and
+    products of both, so that gcds and supports are often nontrivial."""
+    special = st.sampled_from(SPECIAL)
+    plain = elements(max_size)
+    factor = st.one_of(special, elements(50))
+    product = st.lists(factor, min_size=2, max_size=5).map(
+        lambda fs: functools.reduce(ref_mul, fs)
+    )
+    return st.one_of(special, plain, product)
+
+
+class TestAgainstElementArithmetic:
+    @settings(max_examples=300, deadline=None)
+    @given(x=oracle_elements(), d=oracle_elements())
+    def test_divmod(self, x, d):
+        if d.is_zero:
+            with pytest.raises(ZeroDivisionError):
+                divmod_euclid(x, d)
+            return
+        assert divmod_euclid(x, d) == ref_divmod(x, d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=oracle_elements(), y=oracle_elements())
+    def test_gcd(self, x, y):
+        if x.is_zero and y.is_zero:
+            with pytest.raises(ValueError):
+                euclidean_gcd(x, y)
+            return
+        assert euclidean_gcd(x, y) == ref_gcd(x, y)
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=oracle_elements(), y=oracle_elements())
+    def test_support_subset(self, x, y):
+        assert support_subset(x, y) == ref_support_subset(x, y)
+        assert support_subset(y, x) == ref_support_subset(y, x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=oracle_elements(), d=oracle_elements(100))
+    def test_divexact(self, x, d):
+        if d.is_zero:
+            with pytest.raises(ZeroDivisionError):
+                x.divexact(d)
+            return
+        try:
+            want = ref_divexact(x, d)
+        except ValueError:
+            with pytest.raises(ValueError):
+                x.divexact(d)
+        else:
+            assert x.divexact(d) == want
+        assert ref_mul(x, d).divexact(d) == x
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        coeffs=st.lists(st.integers(-(10**12), 10**12), max_size=8),
+        x=oracle_elements(),
+    )
+    def test_evaluate(self, coeffs, x):
+        assert evaluate_at(coeffs, x) == ref_evaluate(coeffs, x)
+
+    def test_verifier_on_every_one_mod_eight_discriminant(self, cache_dir):
+        # the verifier's report, recomputed with the element arithmetic
+        for D in range(-7, -801, -8):
+            coeffs = hilbert_class_polynomial(D, cache_dir=cache_dir).coeffs
+            x = ref_evaluate(coeffs, H_M15_ROOT)
+            y = ref_evaluate(coeffs, H_M15_ROOT_CONJ)
+            report = verify_thm54(D, cache_dir=cache_dir)
+            assert (report.forward, report.backward) == (
+                ref_support_subset(x, y),
+                ref_support_subset(y, x),
+            ), D
 
 
 class TestElementArithmetic:
