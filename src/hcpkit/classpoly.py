@@ -10,7 +10,7 @@ contributes T - Re(j), once its imaginary part has passed the same
 per-root gate the rounding step applies to coefficients. Every factor is
 real, so the product tree multiplies no complex numbers. The expansion,
 the rounding gates and the doubling retry ladder (three retries, then
-PrecisionExhausted) are modfunc's, shared with the modular polynomials.
+PrecisionExhausted) are modfunc's, which serve H_D alone.
 Cache files are plain text written via atomic rename. Version 2 files
 (``HDPOLY 2``, the only ones written) end in a CRC-32 trailer, the
 checksum of RFC 1952 that ``zlib.crc32`` computes in C. Version 1 files

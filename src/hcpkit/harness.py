@@ -28,7 +28,7 @@ from .arith import (
 )
 from .classpoly import hilbert_class_polynomial
 from .cyclomult import cyclotomic_value
-from .errors import NotFound, PreconditionFailed, VerificationFailed
+from .errors import NotFound, PreconditionFailed, SupersingularInput, VerificationFailed
 from .finitefield import deuring_discriminants, fq_context, supersingular_polynomial
 from .intpoly import IntPolynomial
 from .quadforms import class_number
@@ -367,9 +367,9 @@ def ordinary_scan(
 ) -> list[tuple[int, int]]:
     """Pairs (q, D_q) with q ordinary for j and q dividing H_{D_q}(j).
 
-    Primes whose reduction of j is supersingular are skipped; for the
-    rest the Deuring search yields D_q, and the divisibility is verified
-    exactly over the integers.
+    Primes whose reduction of j is supersingular (the Deuring search
+    raises SupersingularInput) are skipped; for the rest that search
+    yields D_q, and the divisibility is verified exactly over the integers.
     """
     moduli = singular_moduli()
     if j in moduli:
@@ -378,12 +378,12 @@ def ordinary_scan(
     for q in range(2, q_max + 1):
         if not is_prime(q):
             continue
-        fq = fq_context(q, 1)
-        jq = fq.from_int(j)
-        if supersingular_polynomial(q).evaluate(jq).is_zero:
+        try:
+            found = deuring_discriminants(fq_context(q, 1).from_int(j))
+        except SupersingularInput:
             continue
         cap = per_prime_D_cap or 4 * q
-        cands = [D for D in deuring_discriminants(jq) if abs(D) <= cap]
+        cands = [D for D in found if abs(D) <= cap]
         if not cands:
             raise NotFound(f"q = {q}: no Deuring discriminant with |D| <= {cap}")
         D_q = cands[0]

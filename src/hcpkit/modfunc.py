@@ -1,4 +1,4 @@
-"""The numeric core shared by the class and modular polynomials.
+"""The numeric core of the Hilbert class polynomials H_D.
 
 j is evaluated by Weber's relation under an explicit working precision:
 callers state the target precision in bits and receive an mpmath
@@ -9,8 +9,8 @@ q-product, prod(1+q^n), is a quotient of two of Euler's pentagonal
 series, and those series, the quotient and its 24th power run on
 fixed-point Python ints with a guard derived from the term count: a
 value costs O(sqrt(N)) complex products for N terms of the product,
-with none of mpmath's per-operation overhead. Exact polynomials are
-recovered from such values by one pipeline: expand a product of monic
+with none of mpmath's per-operation overhead. H_D is recovered from
+such values by one pipeline: expand a product of monic
 factors in one product tree, round every coefficient behind a size cap
 and a 0.25 residual gate, and retry at doubled precision. mpmath's
 global context is not thread safe, so every precision-scoped block takes
@@ -58,15 +58,15 @@ def _csquare(ar: int, ai: int, shift: int) -> tuple[int, int]:
     return (ar + ai) * (ar - ai) >> shift, 2 * ar * ai >> shift
 
 
-def _pentagonal(qr: int, qi: int, bits: int, nmax: int, nsq: int = 0):
+def _pentagonal(qr: int, qi: int, bits: int, nmax: int):
     """Euler's pentagonal series on complex fixed-point ints.
 
     q = (qr + i qi) / 2^bits. Sums E(q) = 1 + sum over k >= 1 of
     (-1)^k (q^(k(3k-1)/2) + q^(k(3k+1)/2)) while k(3k-1)/2 <= nmax, and
-    E(q^2) from the squares of the terms of every k with k(3k-1)/2 <= nsq
-    (none when nsq = 0). Returns (re E(q), im E(q), re E(q^2), im E(q^2)),
-    scaled by 2^bits, each within 12 units of the last place per k when
-    |q| < 1/12. The powers are carried along at four complex products per
+    E(q^2) from the squares of the terms of every k with k(3k-1)/2 <=
+    nmax // 2 + 1, which reach about as far in q. Returns (re E(q),
+    im E(q), re E(q^2), im E(q^2)), scaled by 2^bits, each within 12
+    units of the last place per k when |q| < 1/12. The powers are carried along at four complex products per
     k, and two complex squares give E(q^2)'s terms. A term of size below
     2^-vL, with 2^-v > |q|, needs its multiplier only to 2^-(bits - vL),
     so q^k and q^(2k+1) are carried at that many fractional bits and
@@ -87,7 +87,7 @@ def _pentagonal(qr: int, qi: int, bits: int, nmax: int, nsq: int = 0):
         kr, ki, tr, ti = kr >> drop, ki >> drop, tr >> drop, ti >> drop
         hr, hi = _cmul(lr, li, kr, ki, p)  # q^(k(3k+1)/2)
         ur, ui = lr + hr, li + hi
-        if low <= nsq:
+        if low <= nmax // 2 + 1:
             wr = ((lr + li) * (lr - li) + (hr + hi) * (hr - hi)) >> bits
             wi = 2 * (lr * li + hr * hi) >> bits
         else:
@@ -101,20 +101,6 @@ def _pentagonal(qr: int, qi: int, bits: int, nmax: int, nsq: int = 0):
         kr, ki = _cmul(kr, ki, qr >> bits - p, qi >> bits - p, p)
         k += 1
     return er, ei, sr, si
-
-
-def euler_product(q, nmax: int):
-    """E(q) = prod(1 - q^n) for n >= 1, by Euler's pentagonal series.
-
-    The series is summed while k(3k-1)/2 <= nmax, about sqrt(2 nmax / 3)
-    values of k, on fixed-point ints (_pentagonal) with a guard of
-    log2(nmax) + 4 bits over the caller's working precision. Call under
-    that precision.
-    """
-    bits = mp.prec + nmax.bit_length() + 4
-    qr, qi = int(mp.ldexp(mp.re(q), bits)), int(mp.ldexp(mp.im(q), bits))
-    er, ei, _, _ = _pentagonal(qr, qi, bits, nmax)
-    return mp.mpc(mp.ldexp(er, -bits), mp.ldexp(ei, -bits))
 
 
 def j_tau(tau, prec_bits: int) -> mpmath.mpc:
@@ -151,7 +137,7 @@ def j_tau(tau, prec_bits: int) -> mpmath.mpc:
         big_k = (1 + isqrt(1 + 24 * nterms)) // 6  # last k with k(3k-1)/2 <= nterms
         bits = prec_bits + 32 + big_k.bit_length() + 17
         qr, qi = int(mp.ldexp(mp.re(q), bits)), int(mp.ldexp(mp.im(q), bits))
-        er, ei, sr, si = _pentagonal(qr, qi, bits, nterms, nterms // 2 + 1)
+        er, ei, sr, si = _pentagonal(qr, qi, bits, nterms)
         den = er * er + ei * ei
         rr = ((sr * er + si * ei) << bits) // den
         ri = ((si * er - sr * ei) << bits) // den

@@ -1,23 +1,20 @@
 """Exact modular polynomials for small prime levels.
 
-Phi_N is recovered by evaluate-and-interpolate: at sample points on the
-imaginary axis the product over the N+1 index-N sublattices is expanded
-in X, and each X-coefficient, a degree <= N+1 polynomial in Y = j(tau),
-is solved for through a Vandermonde system in the sampled j values. One
-extra sample is held out as a consistency probe. The product expansion,
-the 0.25 rounding gate and the doubling retry ladder are modfunc's, the
-same code that assembles the class polynomials.
+Phi_N is built over the integers from the q-expansion of j, with no
+floating point. Newton's identities turn the power sums of the N
+conjugates j(zeta^k q^(1/N)) into their elementary symmetric functions;
+multiplying in X - j(q^N) gives the X-coefficients of Phi_N(X, j(q)),
+each a polynomial of degree <= N+1 in j, which is peeled off term by term
+from its lowest power of q. Newton's divisions must be exact and every
+peel must leave no remainder, or VerificationFailed is raised.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from mpmath import mp
-
 from .arith import is_prime
-from .errors import PrecisionExhausted, UnsupportedLevel
-from .modfunc import MP_LOCK, imag_is_dust, j_tau, monic_product, retry_doubling, round_real_coeffs
+from .errors import UnsupportedLevel, VerificationFailed
 
 SUPPORTED_LEVELS = (1, 2, 3, 5, 7)
 
@@ -79,66 +76,69 @@ class BivarIntPolynomial:
         return f"BivarIntPolynomial({len(self.coeffs)} terms, degX={self.degree_x})"
 
 
-def _reduce_fundamental(tau):
-    """Move tau into |Re| <= 1/2, |tau| >= 1 by the usual two generators."""
-    guard = mp.ldexp(1, -(mp.prec // 2))
-    for _ in range(256):
-        tau = tau - mp.nint(mp.re(tau))
-        if abs(tau) >= 1 - guard:
-            return tau
-        tau = -1 / tau
-    raise PrecisionExhausted("fundamental domain reduction did not settle")
+def _series_mul(a: list[int], b: list[int], n: int) -> list[int]:
+    """The first n coefficients of the product of two integer q-series."""
+    out = [0] * n
+    for i, ai in enumerate(a[:n]):
+        if ai:
+            for k, bk in enumerate(b[: n - i]):
+                out[i + k] += ai * bk
+    return out
 
 
-def _phi_attempt(N: int, prec: int) -> BivarIntPolynomial | None:
-    nsamples = N + 3
-    with MP_LOCK, mp.workprec(prec + 32):
-        ys = [mp.mpf("1.05") + mp.mpf("0.05") * s for s in range(nsamples)]
-        nodes = []  # j(tau_s), real
-        coeff_rows = []  # per sample: X-coefficients of the sublattice product
-        for y in ys:
-            tau = mp.mpc(0, y)
-            jt = j_tau(tau, prec)
-            sub_js = []
-            for k in range(N):
-                sub_js.append(j_tau(_reduce_fundamental((tau + k) / N), prec))
-            sub_js.append(j_tau(_reduce_fundamental(N * tau), prec))
-            nodes.append(jt)
-            coeff_rows.append(monic_product([[-r, 1] for r in sub_js]))
-        # j on the imaginary axis is real; discard numeric dust
-        if not all(imag_is_dust(jt, prec) for jt in nodes):
-            return None
-        ynodes = [mp.re(jt) for jt in nodes]
-        ncoef = N + 2  # Y-degree at most N+1
-        vander = mp.matrix(ncoef, ncoef)
-        for s in range(ncoef):
-            for e in range(ncoef):
-                vander[s, e] = ynodes[s] ** e
-        result: dict[tuple[int, int], int] = {}
-        for d in range(N + 2):
-            rhs_full = [coeff_rows[s][d] for s in range(nsamples)]
-            if not all(imag_is_dust(v, prec) for v in rhs_full):
-                return None
-            rhs = mp.matrix([mp.re(v) for v in rhs_full[:ncoef]])
-            sol = mp.lu_solve(vander, rhs)
-            # held-out sample must agree before rounding is trusted
-            spare = mp.mpf(0)
-            for e in range(ncoef):
-                spare += sol[e] * ynodes[ncoef] ** e
-            actual = mp.re(rhs_full[ncoef])
-            if abs(spare - actual) > max(1, abs(actual)) * mp.ldexp(1, -64):
-                return None
-            ints = round_real_coeffs(sol, prec)
-            if ints is None:
-                return None
-            for e, c in enumerate(ints):
-                result[(d, e)] = c
-    phi = BivarIntPolynomial(result)
-    if phi.degree_x != N + 1 or phi.coefficient(N + 1, 0) != 1:
-        return None
-    if N > 1 and not phi.is_symmetric():
-        return None
-    return phi
+def _qj(n: int) -> list[int]:
+    """The first n coefficients of q j(q) = E4(q)^3 / prod(1 - q^k)^24."""
+    sigma3 = [0] * n
+    for d in range(1, n):
+        for m in range(d, n, d):
+            sigma3[m] += d**3
+    e4 = [1] + [240 * s for s in sigma3[1:]]
+    c = _series_mul(_series_mul(e4, e4, n), e4, n)
+    for k in range(1, n):
+        for _ in range(24):  # divided by 1 - q^k
+            for i in range(k, n):
+                c[i] += c[i - k]
+    return c
+
+
+def _phi_exact(N: int) -> BivarIntPolynomial:
+    """Phi_N for prime N. Each series is kept to n exact terms and shifted
+    to start at q^0: q sigma and q g for the N conjugates' power sums and
+    elementary symmetric functions, q^(N+1) e for those of all N+1 roots."""
+    n = 2 * N + 6
+    Q = _qj(N * n)  # sigma reads Q^r below index N n
+    powers = [[1] + [0] * (len(Q) - 1)]  # Q^r = q^r j^r
+    for _ in range(N + 1):
+        powers.append(_series_mul(powers[-1], Q, len(Q)))
+    # sigma_r = N sum of Q^r[i] q^((i - r)/N) over i = r mod N, times (-1)^(r-1)
+    sigma = [None] + [
+        [(N if r % 2 else -N) * P[i] if i >= 0 else 0 for i in range(r - N, r - N + N * n, N)]
+        for r, P in enumerate(powers[1 : N + 1], 1)
+    ]
+    # d g_d = sum of (-1)^(i-1) g_(d-i) sigma_i; sigma_N alone has a pole, of
+    # order 1 and met by g_0 = 1, so (q g)(q sigma) / q is exact to n terms
+    g = [[0, 1] + [0] * (n - 2)]
+    for d in range(1, N + 1):
+        terms = [_series_mul(g[d - i], sigma[i], n + 1)[1:] for i in range(1, d + 1)]
+        acc = [sum(col) for col in zip(*terms)]
+        if any(c % d for c in acc):
+            raise VerificationFailed(f"Phi_{N}: Newton's identity {d} is not integral")
+        g.append([c // d for c in acc])
+    jqn = [Q[m // N] if m % N == 0 else 0 for m in range(n)]  # q^N j(q^N)
+    coeffs: dict[tuple[int, int], int] = {}
+    for d in range(N + 2):
+        # e_d = g_d + j(q^N) g_(d-1); peel c j^k = c q^-k Q^k off its lowest term
+        e = [0] * N + g[d][: n - N] if d <= N else [0] * n
+        if d:
+            e = [a + b for a, b in zip(e, _series_mul(jqn, g[d - 1], n))]
+        for k in range(N + 1, -1, -1):
+            t = N + 1 - k
+            if c := e[t]:
+                coeffs[(N + 1 - d, k)] = -c if d % 2 else c
+                e[t:] = [a - c * p for a, p in zip(e[t:], powers[k])]
+        if any(e):
+            raise VerificationFailed(f"Phi_{N}: e_{d} is not a polynomial in j")
+    return BivarIntPolynomial(coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -148,7 +148,7 @@ def modular_polynomial(N: int) -> BivarIntPolynomial:
         raise UnsupportedLevel(f"level {N} not supported")
     if N == 1:
         return BivarIntPolynomial({(1, 0): 1, (0, 1): -1})
-    return retry_doubling(lambda p: _phi_attempt(N, p), 160 * (N + 1) + 64, f"Phi_{N}")
+    return _phi_exact(N)
 
 
 def kronecker_congruence_check(p: int) -> bool:

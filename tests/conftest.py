@@ -4,6 +4,12 @@ import signal
 import pytest
 
 
+@pytest.fixture(autouse=True)
+def default_cache_outside_the_checkout(monkeypatch, tmp_path):
+    """A CLI call without --cache-dir writes here, never to ./hd_cache."""
+    monkeypatch.setenv("HCPKIT_CACHE", str(tmp_path / "hd_cache"))
+
+
 @pytest.fixture(scope="session")
 def cache_dir(tmp_path_factory):
     """Shared on-disk polynomial cache so expensive scans reuse work."""

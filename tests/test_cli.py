@@ -277,7 +277,7 @@ class TestErrorHandling:
         assert rc == 1
         assert "discriminant" in err
 
-    def test_failed_verification_is_exit_2(self, run, monkeypatch):
+    def test_failed_verification_is_exit_2(self, run, monkeypatch, tmp_path):
         real = hcpkit.classpoly.hilbert_class_polynomial
         h = real(-23)
         bad = IntPolynomial((h.coeffs[0] + 1,) + h.coeffs[1:])
@@ -286,7 +286,8 @@ class TestErrorHandling:
             return bad if D == -23 else real(D, *args, **kwargs)
 
         monkeypatch.setattr(hcpkit.classpoly, "hilbert_class_polynomial", patched)
-        rc, out, err = run("michel", "--D-cap", "23", "--p", "5", cache=False)
+        argv = ("--cache-dir", str(tmp_path), "michel", "--D-cap", "23", "--p", "5")
+        rc, out, err = run(*argv, cache=False)
         assert rc == 2
         assert err == "hcpkit: H_-23 mod 5 is not a product of supersingular factors\n"
         assert [r[1] for r in rows_of(out)] == ["-3", "-7", "-8"]

@@ -1,4 +1,4 @@
-"""Every module-level import in the library is used."""
+"""Every module-level import in the library is used, and modpoly uses no floats."""
 
 from __future__ import annotations
 
@@ -34,3 +34,16 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_modpoly_imports_no_floating_point():
+    """Phi_N is exact: modpoly imports neither mpmath nor anything of modfunc."""
+    tree = ast.parse((SRC / "modpoly.py").read_text())
+    parts = {
+        part
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        for part in [*(getattr(node, "module", None) or "").split("."), *alias.name.split(".")]
+    }
+    assert not parts & {"mpmath", "modfunc"}

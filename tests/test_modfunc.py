@@ -7,11 +7,10 @@ from concurrent.futures import ThreadPoolExecutor
 import mpmath as mp
 import pytest
 
-from hcpkit import classpoly, modpoly
+from hcpkit import classpoly
 from hcpkit.classpoly import hilbert_class_polynomial
 from hcpkit.errors import PrecisionExhausted
-from hcpkit.modfunc import euler_product, j_tau, required_precision, round_real_coeffs
-from hcpkit.modpoly import modular_polynomial
+from hcpkit.modfunc import _pentagonal, j_tau, required_precision, round_real_coeffs
 
 
 def close(value, target, prec_bits):
@@ -28,6 +27,17 @@ class TestRequiredPrecision:
         values = [required_precision(D) for D in (-3, -23, -71, -471, -971)]
         assert values == sorted(values)
         assert all(v >= 64 for v in values)
+
+
+def pentagonal(q, nmax):
+    """E(q) and E(q^2) from _pentagonal at a guard of log2(nmax) + 4 bits."""
+    bits = mp.mp.prec + nmax.bit_length() + 4
+    qr, qi = int(mp.ldexp(mp.re(q), bits)), int(mp.ldexp(mp.im(q), bits))
+    er, ei, sr, si = _pentagonal(qr, qi, bits, nmax)
+    return (
+        mp.mpc(mp.ldexp(er, -bits), mp.ldexp(ei, -bits)),
+        mp.mpc(mp.ldexp(sr, -bits), mp.ldexp(si, -bits)),
+    )
 
 
 class TestEulerProduct:
@@ -47,17 +57,23 @@ class TestEulerProduct:
             qv = q()
             # both sides stop once |q|^n < 2^-(prec+32)
             nmax = int(mp.ceil((prec + 32) / -mp.log(abs(qv), 2)))
-            direct = mp.mpf(1)
+            e_q, e_q2 = pentagonal(qv, nmax)
+            direct = direct2 = mp.mpf(1)
             for n in range(1, nmax + 1):
                 direct *= 1 - qv**n
-            assert abs(euler_product(qv, nmax) - direct) <= mp.ldexp(1, -prec)
+                if 2 * n <= nmax:
+                    direct2 *= 1 - qv ** (2 * n)
+            assert abs(e_q - direct) <= mp.ldexp(1, -prec)
+            assert abs(e_q2 - direct2) <= mp.ldexp(1, -prec)
 
     def test_exact_on_a_dyadic_argument(self):
         # with q = 2^-10 every term is exact: E(q) = 1 - q - q^2 + q^5 + q^7 - ...
         with mp.workprec(400):
             q = mp.ldexp(1, -10)
-            expected = 1 - q - q**2 + q**5 + q**7 - q**12 - q**15 + q**22 + q**26
-            assert euler_product(q, 30) == expected
+            e_q, e_q2 = pentagonal(q, 30)
+            assert e_q == 1 - q - q**2 + q**5 + q**7 - q**12 - q**15 + q**22 + q**26
+            # E(q^2) takes the k with k(3k-1)/2 <= 30 // 2 + 1, k = 1, 2, 3
+            assert e_q2 == 1 - q**2 - q**4 + q**10 + q**14 - q**24 - q**30
 
 
 class TestRoundRealCoeffs:
@@ -190,44 +206,21 @@ class TestJTau:
 
 
 @pytest.mark.parametrize(
-    "module, attempt, build, p0, name",
+    "build, p0",
     [
-        (
-            classpoly,
-            "_assemble",
-            lambda cache_dir: hilbert_class_polynomial(-23, cache_dir),
-            required_precision(-23),
-            "H_-23",
-        ),
-        (
-            classpoly,
-            "_assemble",
-            lambda cache_dir: hilbert_class_polynomial(-23, cache_dir, prec_bits=200),
-            200,
-            "H_-23",
-        ),
-        (
-            modpoly,
-            "_phi_attempt",
-            lambda cache_dir: modular_polynomial(3),
-            160 * 4 + 64,
-            "Phi_3",
-        ),
+        (lambda cache_dir: hilbert_class_polynomial(-23, cache_dir), required_precision(-23)),
+        (lambda cache_dir: hilbert_class_polynomial(-23, cache_dir, prec_bits=200), 200),
     ],
-    ids=["H_D", "H_D-prec_bits", "Phi_N"],
+    ids=["H_D", "H_D-prec_bits"],
 )
-def test_retry_ladder_exhausts(monkeypatch, tmp_path, module, attempt, build, p0, name):
+def test_retry_ladder_exhausts(monkeypatch, tmp_path, build, p0):
     """An attempt that never rounds is tried at p0, 2p0, 4p0 and 8p0."""
     tried = []
-    monkeypatch.setattr(module, attempt, lambda key, prec: tried.append(prec))
+    monkeypatch.setattr(classpoly, "_assemble", lambda key, prec: tried.append(prec))
     monkeypatch.setattr(classpoly, "_memo", {})
-    modular_polynomial.cache_clear()
-    try:
-        with pytest.raises(PrecisionExhausted) as excinfo:
-            build(tmp_path)
-    finally:
-        modular_polynomial.cache_clear()
-    assert str(excinfo.value) == f"{name} did not round cleanly after 3 retries"
+    with pytest.raises(PrecisionExhausted) as excinfo:
+        build(tmp_path)
+    assert str(excinfo.value) == "H_-23 did not round cleanly after 3 retries"
     assert tried == [p0, 2 * p0, 4 * p0, 8 * p0]
     assert -23 not in classpoly._memo
     assert not list(tmp_path.iterdir())

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from hcpkit.errors import UnsupportedLevel
+from hcpkit import modpoly
+from hcpkit.errors import UnsupportedLevel, VerificationFailed
 from hcpkit.modfunc import j_tau
 from hcpkit.modpoly import (
     BivarIntPolynomial,
@@ -147,6 +148,48 @@ class TestModularPolynomial:
 
     def test_cached_instance_reused(self):
         assert modular_polynomial(2) is modular_polynomial(2)
+
+
+# OEIS A000521: q j(q) = 1 + 744 q + 196884 q^2 + ...
+QJ_HEAD = [
+    1,
+    744,
+    196884,
+    21493760,
+    864299970,
+    20245856256,
+    333202640600,
+    4252023300096,
+    44656994071935,
+    401490886656000,
+]
+
+
+class TestExactConstruction:
+    def test_q_series_of_j(self):
+        assert modpoly._qj(10) == QJ_HEAD
+
+    # A wrong coefficient from q^2 on makes some e_d fail to be a polynomial
+    # in j. One at q^1 (the 744) only shifts j by a constant, which every
+    # identity inside the construction tolerates: the result stays symmetric
+    # and keeps the Kronecker congruence, so QJ_HEAD alone guards it.
+    @pytest.mark.parametrize("index", [2, 5, 9])
+    @pytest.mark.parametrize("level", [2, 3, 5, 7])
+    def test_corrupted_series_is_caught(self, monkeypatch, level, index):
+        real = modpoly._qj
+
+        def corrupted(n):
+            c = real(n)
+            c[index] += 1
+            return c
+
+        monkeypatch.setattr(modpoly, "_qj", corrupted)
+        modular_polynomial.cache_clear()
+        try:
+            with pytest.raises(VerificationFailed):
+                modular_polynomial(level)
+        finally:
+            modular_polynomial.cache_clear()
 
 
 # Whether a 5- or 7-isogenous pair can be equal at a one-class j value is
