@@ -18,7 +18,6 @@ from .errors import CapExceeded, NotFound, PreconditionFailed, SupersingularInpu
 from .finitefield import (
     FqElement,
     FqPoly,
-    _fp_pow,
     deuring_discriminants,
     lift_poly,
     poly_gcd,
@@ -42,22 +41,21 @@ class CommonCmPoint:
 def _char_power(f: FqPoly, n: int) -> FqPoly:
     """f**(p^n) via the Frobenius: power each coefficient, spread degrees."""
     field, step = f.field, f.field.p**n
-    out: list = [()] * ((len(f._t) - 1) * step + 1) if f._t else []
-    for i, c in enumerate(f._t):
-        if c:
-            out[i * step] = _fp_pow(c, step, field.p, field.modulus)
-    return FqPoly._of(field, tuple(out))
+    pad, out = [field.zero()] * (step - 1), []
+    for c in f.coeffs:
+        out += [c**step, *pad]
+    return FqPoly(field, out)
 
 
 def _extract_p_power(f: FqPoly) -> tuple[FqPoly, int]:
     """Write f = g**(p^e) with g not a p-th power; returns (g, e)."""
     field, p = f.field, f.field.p
-    t, e = f._t, 0
-    while len(t) > 1 and not any(c for i, c in enumerate(t) if i % p):
+    cs, e = f.coeffs, 0
+    while len(cs) > 1 and all(c.is_zero for i, c in enumerate(cs) if i % p):
         # the p-th root of a coefficient is its p^(m-1)-th power
-        t = tuple(_fp_pow(c, p ** (field.m - 1), p, field.modulus) if c else () for c in t[::p])
+        cs = [c ** (p ** (field.m - 1)) for c in cs[::p]]
         e += 1
-    return FqPoly._of(field, t), e
+    return FqPoly(field, cs), e
 
 
 def _ss_discriminant(j0: FqElement, bound: int) -> int:

@@ -4,16 +4,17 @@ A field context fixes the monic irreducible modulus of degree m over F_p
 with the lexicographically least coefficient encoding sum(c_i * p^i), so
 every run and every implementation agrees on coordinates. Arithmetic runs
 on int tuples in three layers: dense F_p[X] (the `_fp_*` routines), F_q
-as coordinate tuples reduced modulo the field's modulus (`_fq_mul`,
-`_fq_inv`), and F_q[X] as tuples of coordinate tuples inside FqPoly,
-whose operators, gcds, powers and root finding do no FqElement
-arithmetic; FqElement is the element type at the API. On top sit gcd and
-Cantor-Zassenhaus root finding, the supersingular polynomial in the
-Kaneko-Zagier closed form (a truncated hypergeometric series, one O(p)
-loop), Frobenius traces by exhaustive point counting, Deuring
-discriminant search, and reduction histograms of class polynomials at
-inert primes, read off the minimal polynomials of the supersingular
-j-invariants (Deuring).
+as trimmed residue tuples modulo the field's modulus (`_fq_mul`,
+`_fq_inv`), and F_q[X] as tuples of residue tuples inside FqPoly, whose
+operators, gcds, powers and root finding do no FqElement arithmetic.
+FqElement wraps one residue tuple as it is, so an element and a
+polynomial coefficient share one representation, which no other module
+reads. On top sit gcd and Cantor-Zassenhaus root finding, the
+supersingular polynomial in the Kaneko-Zagier closed form (a truncated
+hypergeometric series, one O(p) loop), Frobenius traces by exhaustive
+point counting, Deuring discriminant search, and reduction histograms of
+class polynomials at inert primes, read off the minimal polynomials of
+the supersingular j-invariants (Deuring).
 """
 
 from __future__ import annotations
@@ -178,8 +179,7 @@ class Fq:
         c = [int(x) % self.p for x in coords]
         if len(c) > self.m:
             raise ValueError("too many coordinates")
-        c += [0] * (self.m - len(c))
-        return FqElement(self, tuple(c))
+        return FqElement(self, _fp_trim(c))
 
     def from_int(self, n: int) -> FqElement:
         return self.element([n])
@@ -188,7 +188,7 @@ class Fq:
         if not 0 <= enc < self.q:
             raise ValueError("encoding out of range")
         coords = []
-        for _ in range(self.m):
+        while enc:
             enc, d = divmod(enc, self.p)
             coords.append(d)
         return FqElement(self, tuple(coords))
@@ -231,11 +231,7 @@ def fq_context(p: int, m: int = 1) -> Fq:
 
 # ---------------------------------------------------------------------------
 # F_q arithmetic on coordinate tuples: trimmed F_p[X] residues modulo the
-# field's modulus. FqElement and FqPoly both compute through these.
-
-
-def _coords(e: FqElement) -> tuple[int, ...]:
-    return _fp_trim(list(e.coords))
+# field's modulus, the one representation of FqElement and FqPoly alike.
 
 
 def _fq_mul(a: tuple[int, ...], b: tuple[int, ...], field: Fq) -> tuple[int, ...]:
@@ -258,6 +254,9 @@ def _fq_inv(a: tuple[int, ...], field: Fq) -> tuple[int, ...]:
 
 
 class FqElement:
+    """Element of F_q: `coords` is its trimmed residue, constant term first,
+    taken unchecked; the Fq constructors validate outside coordinates."""
+
     __slots__ = ("field", "coords")
 
     def __init__(self, field: Fq, coords: tuple[int, ...]):
@@ -266,7 +265,7 @@ class FqElement:
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not self.coords
 
     @property
     def encoding(self) -> int:
@@ -288,8 +287,7 @@ class FqElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        p = self.field.p
-        return FqElement(self.field, tuple((a + b) % p for a, b in zip(self.coords, o.coords)))
+        return FqElement(self.field, _fp_add(self.coords, o.coords, self.field.p))
 
     __radd__ = __add__
 
@@ -309,12 +307,12 @@ class FqElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return self.field.element(_fq_mul(_coords(self), _coords(o), self.field))
+        return FqElement(self.field, _fq_mul(self.coords, o.coords, self.field))
 
     __rmul__ = __mul__
 
     def inverse(self) -> FqElement:
-        return self.field.element(_fq_inv(_coords(self), self.field))
+        return FqElement(self.field, _fq_inv(self.coords, self.field))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -328,7 +326,7 @@ class FqElement:
         if e < 0:
             return self.inverse() ** (-e)
         f = self.field
-        return f.element(_fp_pow(_coords(self), e, f.p, f.modulus))
+        return FqElement(f, _fp_pow(self.coords, e, f.p, f.modulus))
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -362,7 +360,7 @@ class FqPoly:
         for c in coeffs:
             if isinstance(c, FqElement) and c.field is not field:
                 raise FieldMismatch("coefficient from a different field")
-            cs.append(_coords(c) if isinstance(c, FqElement) else _fp_trim([int(c) % field.p]))
+            cs.append(c.coords if isinstance(c, FqElement) else _fp_trim([int(c) % field.p]))
         self.field, self._t = field, _fp_trim(cs)
 
     @classmethod
@@ -378,7 +376,7 @@ class FqPoly:
 
     @property
     def coeffs(self) -> tuple[FqElement, ...]:
-        return tuple(self.field.element(c) for c in self._t)
+        return tuple(FqElement(self.field, c) for c in self._t)
 
     @property
     def degree(self) -> int:
@@ -392,7 +390,7 @@ class FqPoly:
     def leading(self) -> FqElement:
         if not self._t:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.field.element(self._t[-1])
+        return FqElement(self.field, self._t[-1])
 
     def _other(self, other: FqPoly) -> tuple:
         if self.field is not other.field:
@@ -422,8 +420,7 @@ class FqPoly:
         if isinstance(other, FqElement):
             if other.field is not field:
                 raise FieldMismatch("elements of different fields")
-            s = _coords(other)
-            return FqPoly._of(field, _fp_trim([_fq_mul(c, s, field) for c in a]))
+            return FqPoly._of(field, _fp_trim([_fq_mul(c, other.coords, field) for c in a]))
         b, p = self._other(other), field.p
         if not a or not b:
             return FqPoly._of(field, ())
@@ -445,7 +442,7 @@ class FqPoly:
         if dq < 0:
             return FqPoly._of(field, ()), self
         p, top = field.p, len(b) - 1
-        inv_lead = _fq_inv(b[-1], field)
+        inv_lead = (1,) if b[-1] == (1,) else _fq_inv(b[-1], field)
         rem = list(a)
         quot: list = [()] * (dq + 1)
         for i in range(dq, -1, -1):
@@ -465,16 +462,16 @@ class FqPoly:
     def monic(self) -> FqPoly:
         if self.is_zero or self._t[-1] == (1,):
             return self
-        return self * self.field.element(_fq_inv(self._t[-1], self.field))
+        return self * FqElement(self.field, _fq_inv(self._t[-1], self.field))
 
     def evaluate(self, x: FqElement) -> FqElement:
         field = self.field
         if x.field is not field:
             raise FieldMismatch("argument from a different field")
-        xc, acc = _coords(x), ()
+        acc = ()
         for c in reversed(self._t):
-            acc = _fp_add(_fq_mul(acc, xc, field), c, field.p)
-        return field.element(acc)
+            acc = _fp_add(_fq_mul(acc, x.coords, field), c, field.p)
+        return FqElement(field, acc)
 
     def derivative(self) -> FqPoly:
         p = self.field.p
@@ -644,7 +641,7 @@ def _curve_from_j(j0: FqElement):
 def _count_p_gt3_prime(j0: FqElement) -> int:
     p = j0.field.p
     a, b = _curve_from_j(j0)
-    av, bv = a.coords[0], b.coords[0]
+    av, bv = a.encoding, b.encoding
     counts = bytearray(p)  # counts[v] = #{y : y^2 = v}
     counts[0] = 1
     for y in range(1, (p + 1) // 2):
@@ -683,7 +680,7 @@ def _count_char2(j0: FqElement) -> int:
         for _ in range(field.m - 1):
             t = t * t
             acc = acc + t
-        bits.append(acc.coords[0])
+        bits.append(acc.encoding)
 
     def tr0(e: FqElement) -> bool:
         return not sum(c * t for c, t in zip(e.coords, bits)) & 1
@@ -768,9 +765,9 @@ def michel_counts(D: int, p: int) -> dict[FqElement, int]:
     for r, _ in ss_roots:
         rbar = r**p
         if rbar == r:
-            minpoly = ((-r).coords[0], 1)
+            minpoly = ((-r).encoding, 1)
         else:
-            minpoly = ((r * rbar).coords[0], (-(r + rbar)).coords[0], 1)
+            minpoly = ((r * rbar).encoding, (-(r + rbar)).encoding, 1)
         mult, (rest, rem) = 0, _fp_divmod(hp, minpoly, p)
         while not rem:
             mult, (rest, rem) = mult + 1, _fp_divmod(rest, minpoly, p)

@@ -8,16 +8,15 @@ of the order of discriminant D, fundamental or not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .arith import is_discriminant
 
 
-@dataclass(frozen=True, order=True)
-class QuadForm:
+class QuadForm(NamedTuple):
     a: int
     b: int
     c: int
@@ -32,24 +31,17 @@ def reduced_forms(D: int) -> tuple[QuadForm, ...]:
     if not is_discriminant(D):
         raise ValueError("D must be a negative discriminant")
     out = []
-    for a in range(1, isqrt(-D // 3) + 1):
-        # b = D mod 2, -a < b <= a
-        b0 = -a + 1
-        if (b0 - D) % 2:
-            b0 += 1
-        for b in range(b0, a + 1, 2):
-            num = b * b - D
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and (a == c or -b == a):
-                continue
-            if gcd(gcd(a, b), c) != 1:
+    # 0 <= b <= a <= c forces 3b^2 <= |D|; a runs over the divisors of ac up to sqrt(ac)
+    for b in range(D % 2, isqrt(-D // 3) + 1, 2):
+        ac = (b * b - D) // 4
+        for a in range(max(b, 1), isqrt(ac) + 1):
+            c, r = divmod(ac, a)
+            if r or gcd(a, b, c) != 1:
                 continue
             out.append(QuadForm(a, b, c))
-    out.sort(key=lambda f: (f.a, f.b))
+            if 0 < b < a < c:
+                out.append(QuadForm(a, -b, c))
+    out.sort()
     return tuple(out)
 
 

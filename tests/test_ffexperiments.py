@@ -10,6 +10,8 @@ from hcpkit.arith import discriminants_upto
 from hcpkit.classpoly import hilbert_class_polynomial
 from hcpkit.errors import CapExceeded, NotFound, PreconditionFailed
 from hcpkit.ffexperiments import (
+    _char_power,
+    _extract_p_power,
     compose_mod_p,
     find_common_cm_point,
     gcd_degree_growth,
@@ -67,6 +69,36 @@ class TestFindCommonCmPoint:
             find_common_cm_point(X2, X2, 3)
         with pytest.raises(PreconditionFailed):
             find_common_cm_point(FqPoly(F2, [1]), X2, 2)
+
+
+@pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (5, 1)])
+class TestFrobeniusPowers:
+    def polys(self, p, m):
+        field = fq_context(p, m)
+        g = field.gen() + 1
+        yield FqPoly(field, [g, 1])
+        yield FqPoly(field, [0, g, 0, g * g, 2])
+        yield FqPoly(field, [1, 0, 0, 0, 0, 0, 0, g])
+
+    def test_char_power_matches_repeated_multiplication(self, p, m):
+        for f in self.polys(p, m):
+            power = FqPoly(f.field, [1])
+            for _ in range(p * p):
+                power = power * f
+            assert _char_power(f, 2) == power
+
+    def test_extract_inverts_char_power(self, p, m):
+        for f in self.polys(p, m):
+            assert _extract_p_power(f) == (f, 0)
+            for n in (1, 2):
+                assert _extract_p_power(_char_power(f, n)) == (f, n)
+
+    def test_zero_and_constants(self, p, m):
+        field = fq_context(p, m)
+        assert _char_power(FqPoly(field), 1).is_zero
+        c = FqPoly(field, [field.gen()])
+        assert _char_power(c, 1) == FqPoly(field, [field.gen() ** p])
+        assert _extract_p_power(c) == (c, 0)
 
 
 class TestComposeModP:

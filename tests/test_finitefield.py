@@ -135,6 +135,43 @@ def draw_poly(data, field, **sizes) -> FqPoly:
     return FqPoly(field, [field.from_encoding(e) for e in encodings])
 
 
+@pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (7, 1)])
+class TestOneRepresentation:
+    """Every constructor yields the same element for the same residue."""
+
+    def test_padded_coordinates_equal_the_integer(self, p, m):
+        field = fq_context(p, m)
+        for c in range(-p, 2 * p):
+            e = field.element([c, 0][:m])
+            assert e == field.from_int(c)
+            assert hash(e) == hash(field.from_int(c))
+
+    def test_coordinates_reduce_mod_p(self, p, m):
+        field = fq_context(p, m)
+        assert field.element([p, 0][:m]) == field.zero()
+        assert field.element([p, 0][:m]).is_zero
+
+    def test_too_many_coordinates_rejected(self, p, m):
+        field = fq_context(p, m)
+        with pytest.raises(ValueError):
+            field.element([1] * (m + 1))
+        with pytest.raises(ValueError):
+            field.element([0] * (m + 1))
+
+    def test_encoding_round_trip(self, p, m):
+        field = fq_context(p, m)
+        for enc in range(field.q):
+            assert field.from_encoding(enc).encoding == enc
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_coefficients_rebuild_the_polynomial(self, p, m, data):
+        field = fq_context(p, m)
+        poly = draw_poly(data, field, max_size=8)
+        assert FqPoly(field, poly.coeffs) == poly
+        assert hash(FqPoly(field, poly.coeffs)) == hash(poly)
+
+
 class TestPolynomials:
     def test_trailing_zeros_trimmed(self):
         field = fq_context(5, 1)

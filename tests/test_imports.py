@@ -1,4 +1,5 @@
-"""Every module-level import in the library is used, and modpoly uses no floats."""
+"""Every module-level import in the library is used, modpoly uses no floats,
+and only finitefield knows how F_q elements and polynomials are stored."""
 
 from __future__ import annotations
 
@@ -47,3 +48,40 @@ def test_modpoly_imports_no_floating_point():
         for part in [*(getattr(node, "module", None) or "").split("."), *alias.name.split(".")]
     }
     assert not parts & {"mpmath", "modfunc"}
+
+
+def representation_reads(source: str) -> list[str]:
+    """Attribute reads of FqElement's and FqPoly's stored tuples."""
+    tree = ast.parse(source)
+    return [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in {"_t", "_of", "coords"}
+    ]
+
+
+def test_detects_a_representation_read():
+    assert representation_reads("f._t\nFqPoly._of(f, t)\ne.coords[0]\ne.coeffs\n") == [
+        "_t",
+        "_of",
+        "coords",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "finitefield.py"], ids=lambda p: p.name
+)
+def test_only_finitefield_reads_the_element_representation(path):
+    assert representation_reads(path.read_text()) == []
+
+
+def test_ffexperiments_imports_no_private_name():
+    tree = ast.parse((SRC / "ffexperiments.py").read_text())
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

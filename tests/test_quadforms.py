@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +96,47 @@ class TestReducedForms:
 
     def test_minus_15_forms(self):
         assert set(reduced_forms(-15)) == {QuadForm(1, 1, 4), QuadForm(2, 1, 2)}
+
+
+def reduced_forms_by_a(D: int) -> tuple[tuple[int, int, int], ...]:
+    """Reference enumeration: every a up to sqrt(|D|/3), every -a < b <= a."""
+    out = []
+    for a in range(1, isqrt(-D // 3) + 1):
+        b0 = -a + 1
+        if (b0 - D) % 2:
+            b0 += 1
+        for b in range(b0, a + 1, 2):
+            num = b * b - D
+            if num % (4 * a):
+                continue
+            c = num // (4 * a)
+            if c < a:
+                continue
+            if b < 0 and (a == c or -b == a):
+                continue
+            if gcd(gcd(a, b), c) != 1:
+                continue
+            out.append((a, b, c))
+    out.sort(key=lambda f: (f[0], f[1]))
+    return tuple(out)
+
+
+class TestAgainstReference:
+    def test_every_discriminant_to_3000(self):
+        for D in range(-3, -3001, -1):
+            if is_discriminant(D):
+                forms = reduced_forms(D)
+                assert forms == reduced_forms_by_a(D), D
+                assert all(type(f) is QuadForm for f in forms)
+
+    @pytest.mark.parametrize("D", [-9375, -12500, -36015, -48020])
+    def test_non_fundamental_grid_points(self, D):
+        assert reduced_forms(D) == reduced_forms_by_a(D)
+
+    def test_fields_and_discriminant(self):
+        f = QuadForm(2, 1, 2)
+        assert (f.a, f.b, f.c) == (2, 1, 2)
+        assert f.discriminant() == -15
 
 
 class TestInvASum:
