@@ -6,11 +6,12 @@ to the nearest integer. j is evaluated once per conjugate pair: a form
 (a, b, c) with 0 < b < a < c and its partner (a, -b, c) have conjugate
 roots and together contribute the real quadratic T^2 - 2 Re(j) T + |j|^2,
 while an ambiguous form (b = 0, b = a or a = c) has a real root and
-contributes T - Re(j), once its imaginary part has passed the same
-per-root gate the rounding step applies to coefficients. Every factor is
-real, so the product tree multiplies no complex numbers. The expansion,
-the rounding gates and the doubling retry ladder (three retries, then
-PrecisionExhausted) are modfunc's, which serve H_D alone.
+contributes T - Re(j). Every factor is real, so the product tree
+multiplies no complex numbers. round_real_coeffs holds every rounding
+gate: the ambiguous roots' imaginary parts must be dust, and every
+coefficient small enough and within 0.25 of an integer. A
+rejected attempt is retried at doubled precision, three times, before
+PrecisionExhausted.
 Cache files are plain text written via atomic rename. Version 2 files
 (``HDPOLY 2``, the only ones written) end in a CRC-32 trailer, the
 checksum of RFC 1952 that ``zlib.crc32`` computes in C. Version 1 files
@@ -30,28 +31,61 @@ from pathlib import Path
 from mpmath import mp
 
 from .arith import is_discriminant, is_prime, kronecker
-from .errors import CapExceeded, CorruptCache, VerificationFailed
+from .errors import CapExceeded, CorruptCache, PrecisionExhausted, VerificationFailed
 from .intpoly import IntPolynomial
-from .modfunc import (
-    MP_LOCK,
-    imag_is_dust,
-    j_tau,
-    monic_product,
-    required_precision,
-    retry_doubling,
-    round_real_coeffs,
-)
+from .modfunc import MP_LOCK, j_tau, required_precision
 from .quadforms import class_number, reduced_forms, unit_group_order
+
+MAX_RETRIES = 3
 
 _memo: dict[int, IntPolynomial] = {}
 _memo_lock = threading.Lock()
+
+
+def _monic_mul(a: list, b: list) -> list:
+    """a*b for monic a, b, constant term first; the leading ones are added in."""
+    m, n = len(a) - 1, len(b) - 1
+    out = [0] * (m + n) + [1]
+    for i in range(m):
+        ai = a[i]
+        out[i + n] += ai
+        for j in range(n):
+            out[i + j] += ai * b[j]
+    for j in range(n):
+        out[j + m] += b[j]
+    return out
+
+
+def round_real_coeffs(coeffs, real_roots, prec: int) -> list[int] | None:
+    """Round real coefficients to ints; None when the evidence is weak.
+
+    Every root in real_roots, a complex j that should be real, must have
+    |Im j| <= 2^-(prec/2) max(1, |Re j|). Every coefficient, an mpf or an
+    int, must be below 2^prec in size and within 0.25 of an integer. The
+    size cap matters: callers work at prec + 32 bits, so a coefficient
+    near 2^(prec+32) has no fractional bits left and would pass the 0.25
+    gate whatever its error; below 2^prec, 32 bits remain.
+    """
+    dust = mp.ldexp(1, -(prec // 2))
+    if not all(abs(mp.im(j)) <= dust * max(1, abs(mp.re(j))) for j in real_roots):
+        return None
+    out = []
+    size_cap = mp.ldexp(1, prec)
+    for c in coeffs:
+        if abs(c) >= size_cap:
+            return None
+        n = mp.nint(c)
+        if abs(c - n) >= 0.25:
+            return None
+        out.append(int(n))
+    return out
 
 
 def _assemble(D: int, prec: int) -> IntPolynomial | None:
     forms = reduced_forms(D)
     with MP_LOCK, mp.workprec(prec + 32):
         sqrt_abs_d = mp.sqrt(-D)
-        factors = []
+        factors, real_roots = [], []
         for f in forms:
             if f.b < 0:
                 continue  # the root of (a, -b, c) is the conjugate of (a, b, c)'s
@@ -59,14 +93,17 @@ def _assemble(D: int, prec: int) -> IntPolynomial | None:
             j = j_tau(tau, prec)
             re, im = mp.re(j), mp.im(j)
             if f.b == 0 or f.b == f.a or f.a == f.c:
-                # ambiguous form: j is real, and its imaginary part must be dust
-                if not imag_is_dust(j, prec):
-                    return None
+                real_roots.append(j)  # ambiguous form: j is real up to dust
                 factors.append([-re, 1])
             else:
                 factors.append([re * re + im * im, -2 * re, 1])
-        coeffs = monic_product(factors)
-        ints = round_real_coeffs(coeffs, prec)
+        # a product tree, multiplied pairwise, keeps the rounding error flat
+        while len(factors) > 1:
+            nxt = [_monic_mul(factors[i], factors[i + 1]) for i in range(0, len(factors) - 1, 2)]
+            if len(factors) % 2:
+                nxt.append(factors[-1])
+            factors = nxt
+        ints = round_real_coeffs(factors[0], real_roots, prec)
     if ints is None:
         return None
     poly = IntPolynomial(tuple(ints))
@@ -103,7 +140,13 @@ def hilbert_class_polynomial(
                     _memo[D] = cached
                 return cached
     prec = prec_bits if prec_bits is not None else required_precision(D)
-    poly = retry_doubling(lambda p: _assemble(D, p), prec, f"H_{D}")
+    for _ in range(MAX_RETRIES + 1):
+        poly = _assemble(D, prec)
+        if poly is not None:
+            break
+        prec *= 2
+    else:
+        raise PrecisionExhausted(f"H_{D} did not round cleanly after {MAX_RETRIES} retries")
     if prec_bits is None:
         with _memo_lock:
             _memo[D] = poly

@@ -442,15 +442,17 @@ class FqPoly:
         if dq < 0:
             return FqPoly._of(field, ()), self
         p, top = field.p, len(b) - 1
-        inv_lead = (1,) if b[-1] == (1,) else _fq_inv(b[-1], field)
+        # a monic divisor, the common case, needs no product by its leading 1
+        inv_lead = None if b[-1] == (1,) else _fq_inv(b[-1], field)
         rem = list(a)
         quot: list = [()] * (dq + 1)
         for i in range(dq, -1, -1):
-            q = _fq_mul(rem[i + top], inv_lead, field)
+            q = rem[i + top] if inv_lead is None else _fq_mul(rem[i + top], inv_lead, field)
             if q:
                 quot[i] = q
-                for j, c in enumerate(b):
-                    rem[i + j] = _fp_sub(rem[i + j], _fq_mul(q, c, field), p)
+                rem[i + top] = ()  # q was chosen to cancel it
+                for j in range(top):
+                    rem[i + j] = _fp_sub(rem[i + j], _fq_mul(q, b[j], field), p)
         return FqPoly._of(field, _fp_trim(quot)), FqPoly._of(field, _fp_trim(rem))
 
     def __mod__(self, other: FqPoly) -> FqPoly:

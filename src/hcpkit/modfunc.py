@@ -1,4 +1,4 @@
-"""The numeric core of the Hilbert class polynomials H_D.
+"""j at CM points, the numeric input of the Hilbert class polynomials H_D.
 
 j is evaluated by Weber's relation under an explicit working precision:
 callers state the target precision in bits and receive an mpmath
@@ -9,13 +9,10 @@ q-product, prod(1+q^n), is a quotient of two of Euler's pentagonal
 series, and those series, the quotient and its 24th power run on
 fixed-point Python ints with a guard derived from the term count: a
 value costs O(sqrt(N)) complex products for N terms of the product,
-with none of mpmath's per-operation overhead. H_D is recovered from
-such values by one pipeline: expand a product of monic
-factors in one product tree, round every coefficient behind a size cap
-and a 0.25 residual gate, and retry at doubled precision. mpmath's
-global context is not thread safe, so every precision-scoped block takes
-a module lock; at desk scale the interpreter lock serializes this work
-anyway.
+with none of mpmath's per-operation overhead. classpoly turns these
+values into H_D. mpmath's global context is not thread safe, so every
+precision-scoped block takes a module lock; at desk scale the
+interpreter lock serializes this work anyway.
 """
 
 from __future__ import annotations
@@ -26,12 +23,9 @@ from math import ceil, isqrt, log, pi
 import mpmath
 from mpmath import mp
 
-from .errors import PrecisionExhausted
 from .quadforms import class_number, inv_a_sum
 
 MP_LOCK = threading.RLock()
-
-MAX_RETRIES = 3
 
 
 def required_precision(D: int) -> int:
@@ -150,74 +144,3 @@ def j_tau(tau, prec_bits: int) -> mpmath.mpc:
         x = 4096 * q * r24
         y = x + 16
         return y * y * y / x
-
-
-def monic_product(factors: list[list]) -> list:
-    """Coefficients of the product of monic polynomials, constant term first.
-
-    Each factor is a coefficient list, constant term first, ending in its
-    leading 1. Factors are multiplied pairwise, as a product tree, to keep
-    rounding error flat; the leading ones are added in, not multiplied.
-    Call under the caller's working precision.
-    """
-    while len(factors) > 1:
-        nxt = [_monic_mul(factors[i], factors[i + 1]) for i in range(0, len(factors) - 1, 2)]
-        if len(factors) % 2:
-            nxt.append(factors[-1])
-        factors = nxt
-    return factors[0]
-
-
-def _monic_mul(a: list, b: list) -> list:
-    m, n = len(a) - 1, len(b) - 1
-    out = [0] * (m + n) + [1]
-    for i in range(m):
-        ai = a[i]
-        out[i + n] += ai
-        for j in range(n):
-            out[i + j] += ai * b[j]
-    for j in range(n):
-        out[j + m] += b[j]
-    return out
-
-
-def imag_is_dust(z, prec: int) -> bool:
-    """Whether |Im z| <= 2^-(prec/2) max(1, |Re z|), so z counts as real."""
-    return abs(mp.im(z)) <= mp.ldexp(1, -(prec // 2)) * max(1, abs(mp.re(z)))
-
-
-def round_real_coeffs(coeffs, prec: int) -> list[int] | None:
-    """Round complex coefficients to ints; None when the evidence is weak.
-
-    Acceptance needs the imaginary part below 2^-(prec/2) relative to the
-    coefficient, the real part below 2^prec in size and within 0.25 of an
-    integer. The size cap matters: callers work at prec + 32 bits, so a
-    real part near 2^(prec+32) has no fractional bits left and would pass
-    the 0.25 gate whatever its error; below 2^prec, 32 bits remain.
-    """
-    out = []
-    size_cap = mp.ldexp(1, prec)
-    for c in coeffs:
-        re = mp.re(c)
-        if not imag_is_dust(c, prec) or abs(re) >= size_cap:
-            return None
-        n = mp.nint(re)
-        if abs(re - n) >= 0.25:
-            return None
-        out.append(int(n))
-    return out
-
-
-def retry_doubling(attempt, prec: int, name: str):
-    """Run attempt(prec) at prec, 2 prec, ... until it returns a result.
-
-    An attempt returns None when its rounding evidence is weak; after
-    MAX_RETRIES doublings the ladder gives up with PrecisionExhausted,
-    naming the polynomial that would not round.
-    """
-    for _ in range(MAX_RETRIES + 1):
-        result = attempt(prec)
-        if result is not None:
-            return result
-        prec *= 2
-    raise PrecisionExhausted(f"{name} did not round cleanly after {MAX_RETRIES} retries")

@@ -22,11 +22,12 @@ from hcpkit.classpoly import (
     cache_store,
     crc64_xz,
     hilbert_class_polynomial,
+    round_real_coeffs,
     verify_prop23,
 )
 from hcpkit.errors import CapExceeded, CorruptCache, PrecisionExhausted
 from hcpkit.intpoly import IntPolynomial
-from hcpkit.modfunc import j_tau, required_precision, round_real_coeffs
+from hcpkit.modfunc import j_tau, required_precision
 from hcpkit.quadforms import class_number, reduced_forms
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -57,6 +58,35 @@ CLASSICAL_HIGHER = {
     -24: (14670139392, -4834944, 1),
     -23: (12771880859375, -5151296875, 3491750, 1),
 }
+
+
+class TestRoundRealCoeffs:
+    def test_rounds_within_the_gate(self):
+        with mp.workprec(96):
+            coeffs = [mp.mpf("3.2"), mp.mpf("-7.9"), mp.ldexp(1, 63)]
+            assert round_real_coeffs(coeffs, [mp.mpc("-7.9", "1e-30")], 64) == [3, -8, 2**63]
+
+    def test_rejects_residual_at_the_gate(self):
+        with mp.workprec(96):
+            assert round_real_coeffs([mp.mpf("3.25")], [], 64) is None
+
+    def test_rejects_coefficients_of_two_to_prec_or_more(self):
+        # at 2^(prec+32) the working precision keeps no fractional bits; the cap is 2^prec
+        with mp.workprec(96):
+            assert round_real_coeffs([mp.mpf(1), mp.ldexp(1, 64)], [], 64) is None
+            assert round_real_coeffs([mp.mpf(1), -mp.ldexp(3, 70)], [], 64) is None
+
+    @pytest.mark.parametrize("re", ["0.5", "-5", "3e12"])
+    def test_root_dust_gate_is_inclusive(self, re):
+        # a root passes with |Im j| <= 2^-(prec/2) max(1, |Re j|), and fails just above it
+        with mp.workprec(96):
+            re = mp.mpf(re)
+            bound = mp.ldexp(1, -32) * max(1, abs(re))
+            above = bound * (1 + mp.ldexp(1, -80))
+            for im in (bound, -bound):
+                assert round_real_coeffs([mp.mpf(1)], [mp.mpc(re, im)], 64) == [1]
+            for im in (above, -above):
+                assert round_real_coeffs([mp.mpf(1)], [mp.mpc(re, im)], 64) is None
 
 
 class TestHilbertClassPolynomial:
@@ -132,7 +162,8 @@ class TestConjugatePairing:
                 for i, c in enumerate(coeffs):
                     shifted[i] -= j * c
                 coeffs = shifted
-            ints = round_real_coeffs(coeffs, prec)
+            # each coefficient's imaginary part must be dust, as each real root's is
+            ints = round_real_coeffs([mp.re(c) for c in coeffs], coeffs, prec)
         assert ints is not None
         assert hilbert_class_polynomial(D).coeffs == tuple(ints)
 
@@ -158,17 +189,34 @@ class TestConjugatePairing:
         assert len(calls) == sum(1 for f in reduced_forms(D) if f.b >= 0)
 
 
+def dusty(tau, prec_bits):
+    """j with an imaginary part far above the per-root gate."""
+    j = j_tau(tau, prec_bits)
+    return j + 1j * mp.ldexp(1, -(prec_bits // 4)) * max(1, abs(j))
+
+
 def test_imaginary_dust_on_real_roots_is_rejected(monkeypatch):
     """A real root with an imaginary part above the gate must not round."""
-
-    def dusty(tau, prec_bits):
-        j = j_tau(tau, prec_bits)
-        return j + 1j * mp.ldexp(1, -(prec_bits // 4)) * max(1, abs(j))
-
     assert all(_is_ambiguous(f) for f in reduced_forms(-84))
     monkeypatch.setattr(classpoly, "j_tau", dusty)
     with pytest.raises(PrecisionExhausted):
         hilbert_class_polynomial(-84, prec_bits=required_precision(-84))
+
+
+def test_per_root_rejects_reach_round_real_coeffs(monkeypatch):
+    """round_real_coeffs makes every reject, a per-root one included."""
+    results = []
+    rounding = classpoly.round_real_coeffs
+
+    def counted(coeffs, real_roots, prec):
+        results.append(rounding(coeffs, real_roots, prec))
+        return results[-1]
+
+    monkeypatch.setattr(classpoly, "j_tau", dusty)
+    monkeypatch.setattr(classpoly, "round_real_coeffs", counted)
+    with pytest.raises(PrecisionExhausted):
+        hilbert_class_polynomial(-84, prec_bits=required_precision(-84))
+    assert results == [None] * 4
 
 
 class TestLowPrecision:

@@ -1,5 +1,6 @@
 """Every module-level import in the library is used, modpoly uses no floats,
-and only finitefield knows how F_q elements and polynomials are stored."""
+only finitefield knows how F_q elements and polynomials are stored, and only
+classpoly gives up on precision."""
 
 from __future__ import annotations
 
@@ -85,3 +86,29 @@ def test_ffexperiments_imports_no_private_name():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def raised_names(source: str) -> set[str]:
+    """Names of the exceptions a module raises, by class or call."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def test_detects_a_raised_exception():
+    source = "raise A\nraise errors.B('x')\ntry:\n    raise C() from None\nexcept D:\n    raise\n"
+    assert raised_names(source) == {"A", "B", "C"}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "classpoly.py"], ids=lambda p: p.name
+)
+def test_only_classpoly_raises_precision_exhausted(path):
+    """The retry ladder lives in classpoly; modfunc only evaluates j."""
+    assert "PrecisionExhausted" not in raised_names(path.read_text())

@@ -10,7 +10,7 @@ import pytest
 from hcpkit import classpoly
 from hcpkit.classpoly import hilbert_class_polynomial
 from hcpkit.errors import PrecisionExhausted
-from hcpkit.modfunc import _pentagonal, j_tau, required_precision, round_real_coeffs
+from hcpkit.modfunc import _pentagonal, j_tau, required_precision
 
 
 def close(value, target, prec_bits):
@@ -74,23 +74,6 @@ class TestEulerProduct:
             assert e_q == 1 - q - q**2 + q**5 + q**7 - q**12 - q**15 + q**22 + q**26
             # E(q^2) takes the k with k(3k-1)/2 <= 30 // 2 + 1, k = 1, 2, 3
             assert e_q2 == 1 - q**2 - q**4 + q**10 + q**14 - q**24 - q**30
-
-
-class TestRoundRealCoeffs:
-    def test_rounds_within_the_gate(self):
-        with mp.workprec(96):
-            coeffs = [mp.mpf("3.2"), mp.mpc("-7.9", "1e-30"), mp.ldexp(1, 63)]
-            assert round_real_coeffs(coeffs, 64) == [3, -8, 2**63]
-
-    def test_rejects_residual_at_the_gate(self):
-        with mp.workprec(96):
-            assert round_real_coeffs([mp.mpf("3.25")], 64) is None
-
-    def test_rejects_coefficients_of_two_to_prec_or_more(self):
-        # at 2^(prec+32) the working precision keeps no fractional bits; the cap is 2^prec
-        with mp.workprec(96):
-            assert round_real_coeffs([mp.mpf(1), mp.ldexp(1, 64)], 64) is None
-            assert round_real_coeffs([mp.mpf(1), -mp.ldexp(3, 70)], 64) is None
 
 
 def _cm_point(D: int) -> mp.mpc:
