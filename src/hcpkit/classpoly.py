@@ -1,17 +1,24 @@
 """Exact Hilbert class polynomials with a persistent text cache.
 
-H_D is assembled as the product of (T - j(tau)) over the reduced forms of
-discriminant D at required_precision(D), with every coefficient rounded
-to the nearest integer. j is evaluated once per conjugate pair: a form
-(a, b, c) with 0 < b < a < c and its partner (a, -b, c) have conjugate
-roots and together contribute the real quadratic T^2 - 2 Re(j) T + |j|^2,
-while an ambiguous form (b = 0, b = a or a = c) has a real root and
-contributes T - Re(j). Every factor is real, so the product tree
-multiplies no complex numbers. round_real_coeffs holds every rounding
-gate: the ambiguous roots' imaginary parts must be dust, and every
-coefficient small enough and within 0.25 of an integer. A
-rejected attempt is retried at doubled precision, three times, before
-PrecisionExhausted.
+When 3 does not divide D, Weber's gamma2 = j^(1/3) is a class invariant
+(Cox, Primes of the form x^2 + ny^2, section 12): its class polynomial
+W_D, the product of (X - zeta3^k gamma2(tau)) over the reduced forms, is
+in Z[X] with a third of H_D's coefficient bits, and H_D follows from it
+exactly in integers (_w_to_h). For 3 | D the product is of (T - j(tau))
+itself. Either product is assembled at a working precision with every
+coefficient rounded to the nearest integer, and its invariant is
+evaluated once per conjugate pair: a form (a, b, c) with 0 < b < a < c
+and its partner (a, -b, c) have conjugate roots and together contribute
+the real quadratic T^2 - 2 Re(x) T + |x|^2, while an ambiguous form
+(b = 0, b = a or a = c) has a real root and contributes T - Re(x).
+Every factor is real, so the product tree multiplies no complex numbers.
+round_real_coeffs holds every rounding gate: the ambiguous roots'
+imaginary parts must be dust, and every coefficient small enough and
+within 0.25 of an integer. A rejected attempt is retried at doubled
+precision, three times, before PrecisionExhausted. Every fresh H_D then
+passes an exact check that does not touch the floating-point path, the
+Deuring congruence of finitefield._verify_deuring, or raises
+VerificationFailed.
 Cache files are plain text written via atomic rename. Version 2 files
 (``HDPOLY 2``, the only ones written) end in a CRC-32 trailer, the
 checksum of RFC 1952 that ``zlib.crc32`` computes in C. Version 1 files
@@ -32,8 +39,9 @@ from mpmath import mp
 
 from .arith import is_discriminant, is_prime, kronecker
 from .errors import CapExceeded, CorruptCache, PrecisionExhausted, VerificationFailed
+from .finitefield import _verify_deuring
 from .intpoly import IntPolynomial
-from .modfunc import MP_LOCK, j_tau, required_precision
+from .modfunc import MP_LOCK, _gamma2_tau, _height_bits, j_tau, required_precision
 from .quadforms import class_number, reduced_forms, unit_group_order
 
 MAX_RETRIES = 3
@@ -59,8 +67,8 @@ def _monic_mul(a: list, b: list) -> list:
 def round_real_coeffs(coeffs, real_roots, prec: int) -> list[int] | None:
     """Round real coefficients to ints; None when the evidence is weak.
 
-    Every root in real_roots, a complex j that should be real, must have
-    |Im j| <= 2^-(prec/2) max(1, |Re j|). Every coefficient, an mpf or an
+    Every root in real_roots, a complex j or gamma2 value x that should be
+    real, must have |Im x| <= 2^-(prec/2) max(1, |Re x|). Every coefficient, an mpf or an
     int, must be below 2^prec in size and within 0.25 of an integer. The
     size cap matters: callers work at prec + 32 bits, so a coefficient
     near 2^(prec+32) has no fractional bits left and would pass the 0.25
@@ -81,19 +89,52 @@ def round_real_coeffs(coeffs, real_roots, prec: int) -> list[int] | None:
     return out
 
 
+def _zeta3_exponent(a: int, b: int, c: int) -> int:
+    """k with zeta3^k gamma2(tau) the class invariant of the reduced form (a, b, c).
+
+    gamma2 is a class invariant at forms [A, B, C] with 3 not dividing A
+    and 3 dividing B; gamma2(tau - k) = zeta3^k gamma2(tau) shifts B by 2Ak,
+    and gamma2(-1/tau) = gamma2(tau) turns (a, b, c) into (c, -b, a).
+    """
+    if a % 3:
+        return a * b % 3  # b + 2ak = 0 mod 3
+    if c % 3:
+        return -b * c % 3  # after S: -b + 2ck = 0 mod 3
+    # 3 | a, c: tau - 1 gives (a, b + 2a, a + b + c) with 3 not dividing
+    # its last entry and one zeta3; S and the shift k = 2 then add zeta3^2
+    return 0
+
+
+def _w_to_h(w: list[int]) -> IntPolynomial:
+    """H_D from the coefficients of W_D, exactly: H_D(X^3) = prod_k W_D(zeta3^k X).
+
+    With W = A0(X^3) + X A1(X^3) + X^2 A2(X^3) the product is the norm
+    form A0^3 + Y A1^3 + Y^2 A2^3 - 3Y A0 A1 A2 at Y = X^3.
+    """
+    a0, a1, a2 = (IntPolynomial(tuple(w[i::3])) for i in range(3))
+    y = IntPolynomial((0, 1))
+    return a0 * a0 * a0 + y * (a1 * a1 * a1 - 3 * (a0 * a1 * a2) + y * (a2 * a2 * a2))
+
+
 def _assemble(D: int, prec: int) -> IntPolynomial | None:
+    """H_D rounded at prec bits, or None; through W_D when 3 does not divide D."""
     forms = reduced_forms(D)
+    gamma2 = D % 3 != 0
     with MP_LOCK, mp.workprec(prec + 32):
         sqrt_abs_d = mp.sqrt(-D)
+        zeta3 = (mp.mpc(1), mp.mpc(-0.5, mp.sqrt(3) / 2), mp.mpc(-0.5, -mp.sqrt(3) / 2))
         factors, real_roots = [], []
         for f in forms:
             if f.b < 0:
                 continue  # the root of (a, -b, c) is the conjugate of (a, b, c)'s
             tau = mp.mpc(mp.mpf(-f.b) / (2 * f.a), sqrt_abs_d / (2 * f.a))
-            j = j_tau(tau, prec)
-            re, im = mp.re(j), mp.im(j)
+            if gamma2:
+                x = zeta3[_zeta3_exponent(*f)] * _gamma2_tau(tau, prec)
+            else:
+                x = j_tau(tau, prec)
+            re, im = mp.re(x), mp.im(x)
             if f.b == 0 or f.b == f.a or f.a == f.c:
-                real_roots.append(j)  # ambiguous form: j is real up to dust
+                real_roots.append(x)  # ambiguous form: the root is real up to dust
                 factors.append([-re, 1])
             else:
                 factors.append([re * re + im * im, -2 * re, 1])
@@ -106,10 +147,16 @@ def _assemble(D: int, prec: int) -> IntPolynomial | None:
         ints = round_real_coeffs(factors[0], real_roots, prec)
     if ints is None:
         return None
-    poly = IntPolynomial(tuple(ints))
-    if poly.degree != len(forms) or not poly.is_monic:
-        return None
-    return poly
+    return _w_to_h(ints) if gamma2 else IntPolynomial(tuple(ints))
+
+
+def _start_precision(D: int) -> int:
+    """The ladder's first precision: required_precision(D) on the j route,
+    and on the W_D route, whose coefficients have a third of H_D's bits,
+    the same margin over a third of the height bound."""
+    if D % 3 == 0:
+        return required_precision(D)
+    return -(-_height_bits(D) // 3) + 64 + 8 * class_number(D)
 
 
 def hilbert_class_polynomial(
@@ -121,7 +168,10 @@ def hilbert_class_polynomial(
 
     Results are memoized in process and, when cache_dir is given, stored
     on disk. An explicit prec_bits bypasses both caches and starts the
-    retry ladder at that precision instead of required_precision(D).
+    retry ladder at that precision instead of _start_precision(D); it is
+    the precision of W_D when 3 does not divide D. A fresh H_D that fails
+    the Deuring check raises VerificationFailed and is neither memoized
+    nor stored.
     """
     if not is_discriminant(D):
         raise ValueError(f"{D} is not a negative discriminant")
@@ -139,7 +189,7 @@ def hilbert_class_polynomial(
                 with _memo_lock:
                     _memo[D] = cached
                 return cached
-    prec = prec_bits if prec_bits is not None else required_precision(D)
+    prec = prec_bits if prec_bits is not None else _start_precision(D)
     for _ in range(MAX_RETRIES + 1):
         poly = _assemble(D, prec)
         if poly is not None:
@@ -147,6 +197,7 @@ def hilbert_class_polynomial(
         prec *= 2
     else:
         raise PrecisionExhausted(f"H_{D} did not round cleanly after {MAX_RETRIES} retries")
+    _verify_deuring(D, poly.coeffs)
     if prec_bits is None:
         with _memo_lock:
             _memo[D] = poly

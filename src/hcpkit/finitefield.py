@@ -12,9 +12,10 @@ polynomial coefficient share one representation, which no other module
 reads. On top sit gcd and Cantor-Zassenhaus root finding, the
 supersingular polynomial in the Kaneko-Zagier closed form (a truncated
 hypergeometric series, one O(p) loop), Frobenius traces by exhaustive
-point counting, Deuring discriminant search, and reduction histograms of
+point counting, Deuring discriminant search, reduction histograms of
 class polynomials at inert primes, read off the minimal polynomials of
-the supersingular j-invariants (Deuring).
+the supersingular j-invariants (Deuring), and the exact Deuring check
+that classpoly runs on every fresh H_D.
 """
 
 from __future__ import annotations
@@ -24,7 +25,13 @@ from functools import lru_cache
 from itertools import count
 from math import isqrt
 
-from .arith import is_fundamental_discriminant, is_prime, kronecker, prime_divisors
+from .arith import (
+    is_discriminant,
+    is_fundamental_discriminant,
+    is_prime,
+    kronecker,
+    prime_divisors,
+)
 from .errors import (
     FieldMismatch,
     FieldTooLarge,
@@ -33,6 +40,7 @@ from .errors import (
     SupersingularInput,
     VerificationFailed,
 )
+from .quadforms import class_number
 
 FIELD_CAP = 1 << 20  # exhaustive point counting stays below this order
 
@@ -603,9 +611,14 @@ def supersingular_polynomial(p: int) -> FqPoly:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    field = fq_context(p, 1)
+    return FqPoly(fq_context(p, 1), _supersingular_coeffs(p))
+
+
+@lru_cache(maxsize=None)
+def _supersingular_coeffs(p: int) -> tuple[int, ...]:
+    """ss_p as an int tuple, constant term first, for a prime p."""
     if p in (2, 3):
-        return FqPoly.x(field)
+        return (0, 1)
     n, delta, eps = p // 12, p % 3 == 2, p % 4 == 3
     twelfth = pow(12, -1, p)
     a, b = (7 * twelfth, 11 * twelfth) if eps else (twelfth, 5 * twelfth)
@@ -618,7 +631,67 @@ def supersingular_polynomial(p: int) -> FqPoly:
         ss = _fp_mul(ss, (0, 1), p)
     if eps:
         ss = _fp_mul(ss, (-1728 % p, 1), p)
-    return FqPoly(field, ss)
+    return ss
+
+
+@lru_cache(maxsize=None)
+def _supersingular_split(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The roots of ss_p in F_p, and the product of its irreducible quadratic factors."""
+    rest = _supersingular_coeffs(p)
+    roots = tuple(r for r in range(p) if not _fp_divmod(rest, (-r % p, 1), p)[1])
+    for r in roots:
+        rest = _fp_divmod(rest, (-r % p, 1), p)[0]
+    return roots, rest
+
+
+def _fp_strip_root(f: tuple[int, ...], r: int, p: int) -> tuple[int, ...]:
+    """f over (X - r)^m for the largest m, by synthetic division; f monic."""
+    if not r:
+        return f[next(i for i, c in enumerate(f) if c) :]
+    while True:
+        acc, quot = 0, []
+        for c in reversed(f):
+            acc = (acc * r + c) % p
+            quot.append(acc)
+        if acc:
+            return f
+        f = tuple(reversed(quot[:-1]))
+
+
+def _verify_deuring(D: int, coeffs: tuple[int, ...]) -> None:
+    """Check an H_D exactly, with no floating point; VerificationFailed if it fails.
+
+    coeffs must be monic of degree h(D). Let p be the least prime that does
+    not split in Q(sqrt(D)) and does not divide the conductor of D. Every
+    root of H_D then reduces mod p to a supersingular j (Deuring), so H_D
+    mod p must divide ss_p^h over F_p. ss_p is squarefree, so that holds
+    exactly when H_D mod p is a product of powers of ss_p's linear
+    factors, stripped by synthetic division, and of its irreducible
+    quadratic factors, stripped by gcds.
+    """
+    h = class_number(D)
+    if len(coeffs) != h + 1 or coeffs[-1] != 1:
+        raise VerificationFailed(f"H_{D} is not monic of degree h({D}) = {h}")
+    p = next(
+        p
+        for p in count(2)
+        if is_prime(p)
+        and kronecker(D, p) != 1
+        and not (D % (p * p) == 0 and is_discriminant(D // (p * p)))
+    )
+    rest = tuple(c % p for c in coeffs)
+    roots, quadratic = _supersingular_split(p)
+    for r in roots:
+        rest = _fp_strip_root(rest, r, p)
+    g = _fp_gcd(rest, quadratic, p)
+    while len(g) > 1:
+        quot, rem = _fp_divmod(rest, g, p)
+        if rem:
+            g = _fp_gcd(g, rem, p)  # a factor of g is used up
+        else:
+            rest = quot
+    if len(rest) > 1:
+        raise VerificationFailed(f"H_{D} mod {p} does not divide ss_{p}^{h}")
 
 
 def supersingular_count(p: int) -> int:

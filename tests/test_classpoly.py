@@ -25,9 +25,9 @@ from hcpkit.classpoly import (
     round_real_coeffs,
     verify_prop23,
 )
-from hcpkit.errors import CapExceeded, CorruptCache, PrecisionExhausted
+from hcpkit.errors import CapExceeded, CorruptCache, PrecisionExhausted, VerificationFailed
 from hcpkit.intpoly import IntPolynomial
-from hcpkit.modfunc import j_tau, required_precision
+from hcpkit.modfunc import _gamma2_tau, j_tau, required_precision
 from hcpkit.quadforms import class_number, reduced_forms
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -176,17 +176,24 @@ class TestConjugatePairing:
 
     @pytest.mark.parametrize("D", [-3, -23, -84, -231, -260, -9375])
     def test_one_j_per_form_with_nonnegative_b(self, monkeypatch, D):
-        calls = []
+        """One evaluation per form with b >= 0: of gamma2 when 3 does not divide D, else of j."""
+        calls = {"j": [], "gamma2": []}
 
-        def counted(tau, prec_bits):
-            calls.append(tau)
-            return j_tau(tau, prec_bits)
+        def counting(name, evaluate):
+            def counted(tau, prec_bits):
+                calls[name].append(tau)
+                return evaluate(tau, prec_bits)
 
-        monkeypatch.setattr(classpoly, "j_tau", counted)
+            return counted
+
+        monkeypatch.setattr(classpoly, "j_tau", counting("j", j_tau))
+        monkeypatch.setattr(classpoly, "_gamma2_tau", counting("gamma2", _gamma2_tau))
         # an explicit precision bypasses the memo and the disk cache
         poly = hilbert_class_polynomial(D, prec_bits=required_precision(D))
         assert poly.degree == class_number(D)
-        assert len(calls) == sum(1 for f in reduced_forms(D) if f.b >= 0)
+        used, unused = ("gamma2", "j") if D % 3 else ("j", "gamma2")
+        assert len(calls[used]) == sum(1 for f in reduced_forms(D) if f.b >= 0)
+        assert calls[unused] == []
 
 
 def dusty(tau, prec_bits):
@@ -220,11 +227,39 @@ def test_per_root_rejects_reach_round_real_coeffs(monkeypatch):
 
 
 class TestLowPrecision:
-    @pytest.mark.parametrize("D", [-479, -9375])
+    @pytest.mark.parametrize("D", [-2999, -9375])
     def test_too_low_precision_raises(self, D):
-        # these coefficients outgrow 64 to 512 bits; a wrong H_D must not round
+        # W_{-2999} (about 680 bits) and H_{-9375} outgrow 64 to 512 bits;
+        # a wrong H_D must not round
         with pytest.raises(PrecisionExhausted):
             hilbert_class_polynomial(D, prec_bits=64)
+
+    def test_w_d_rounds_where_h_d_would_not(self):
+        # H_{-479} has 552-bit coefficients, W_{-479} 184: it rounds at 256 bits
+        assert digest(hilbert_class_polynomial(-479, prec_bits=64).coeffs) == load_refs()["hd"]["-479"]
+
+
+def assemble_afresh(monkeypatch, discriminants):
+    """H_D for each D with an empty memo; the D of every _assemble call and every check."""
+    attempts, checks = [], []
+    assemble, verify = classpoly._assemble, classpoly._verify_deuring
+
+    def counted(D, prec):
+        attempts.append(D)
+        return assemble(D, prec)
+
+    def counted_check(D, coeffs):
+        verify(D, coeffs)
+        checks.append((D, coeffs))
+
+    monkeypatch.setattr(classpoly, "_assemble", counted)
+    monkeypatch.setattr(classpoly, "_verify_deuring", counted_check)
+    monkeypatch.setattr(classpoly, "_memo", {})
+    polys = [hilbert_class_polynomial(D) for D in discriminants]
+    return polys, attempts, checks
+
+
+FUNDAMENTAL_TO_1000 = [-n for n in range(3, 1001) if is_fundamental_discriminant(-n)]
 
 
 def test_pinned_digests_of_every_fundamental_discriminant_to_1000(monkeypatch):
@@ -233,21 +268,63 @@ def test_pinned_digests_of_every_fundamental_discriminant_to_1000(monkeypatch):
     Each H_D is assembled afresh and must round at its first precision: a
     retry would double the work without changing the result.
     """
-    attempts = []
-    assemble = classpoly._assemble
-
-    def counted(D, prec):
-        attempts.append(D)
-        return assemble(D, prec)
-
-    monkeypatch.setattr(classpoly, "_assemble", counted)
-    monkeypatch.setattr(classpoly, "_memo", {})
     refs = load_refs()["hd"]
-    discriminants = [-n for n in range(3, 1001) if is_fundamental_discriminant(-n)]
-    assert len(discriminants) == 305
-    wrong = [D for D in discriminants if digest(hilbert_class_polynomial(D).coeffs) != refs[str(D)]]
+    assert len(FUNDAMENTAL_TO_1000) == 305
+    polys, attempts, _ = assemble_afresh(monkeypatch, FUNDAMENTAL_TO_1000)
+    wrong = [D for D, poly in zip(FUNDAMENTAL_TO_1000, polys) if digest(poly.coeffs) != refs[str(D)]]
+    assert wrong == []
+    assert attempts == FUNDAMENTAL_TO_1000
+
+
+def test_pinned_digests_of_every_non_fundamental_discriminant(monkeypatch):
+    """The 52 pinned non-fundamental D, each afresh and at its first precision."""
+    refs = load_refs()["hd"]
+    discriminants = sorted(
+        (int(k) for k in refs if not is_fundamental_discriminant(int(k))), key=abs
+    )
+    assert len(discriminants) == 52
+    polys, attempts, _ = assemble_afresh(monkeypatch, discriminants)
+    wrong = [D for D, poly in zip(discriminants, polys) if digest(poly.coeffs) != refs[str(D)]]
     assert wrong == []
     assert attempts == discriminants
+
+
+def test_every_fresh_h_d_passes_one_deuring_check(monkeypatch):
+    """The check runs once on every H_D assembled afresh, on what is returned."""
+    polys, _, checks = assemble_afresh(monkeypatch, FUNDAMENTAL_TO_1000)
+    assert checks == [(D, poly.coeffs) for D, poly in zip(FUNDAMENTAL_TO_1000, polys)]
+
+
+def faults(poly: IntPolynomial) -> list[IntPolynomial]:
+    """poly with +-1 on each coefficient below the leading one, and poly + X^h, + X^(h+1)."""
+    h, out = poly.degree, []
+    for k in range(h):
+        for e in (1, -1):
+            out.append(poly + IntPolynomial.monomial(k, e))
+    return out + [poly + IntPolynomial.monomial(h), poly + IntPolynomial.monomial(h + 1)]
+
+
+# The j route at -75 (p = 2), W_D at -23 (p = 5) and at -311 (p = 11).
+# H_{-311} = X^8 (X - 1)^11 mod 11, so H_{-311} + X^8 = X^19 mod 11 is a
+# product of supersingular factors as well: one prime cannot see that fault.
+@pytest.mark.parametrize(
+    "D,unseen", [(-75, []), (-23, []), (-311, [(8, 1)])], ids=["-75", "-23", "-311"]
+)
+def test_a_wrong_h_d_fails_the_deuring_check(monkeypatch, tmp_path, D, unseen):
+    h_d = hilbert_class_polynomial(D)
+    passed = []
+    for i, fault in enumerate(faults(h_d)):
+        monkeypatch.setattr(classpoly, "_assemble", lambda key, prec: fault)
+        monkeypatch.setattr(classpoly, "_memo", {})
+        cache_dir = tmp_path / str(i)
+        try:
+            hilbert_class_polynomial(D, cache_dir=cache_dir)
+        except VerificationFailed:
+            # a rejected H_D is neither memoized nor stored
+            assert classpoly._memo == {} and not cache_dir.exists()
+            continue
+        passed.append(fault)
+    assert passed == [h_d + IntPolynomial.monomial(k, e) for k, e in unseen]
 
 
 H_M15 = IntPolynomial((-121287375, 191025, 1))
@@ -339,6 +416,46 @@ class TestCacheFormat:
         body = body[: body.rindex(b"CRC32 ")]
         path.write_bytes(body + b"CRC32 %08x\n" % zlib.crc32(body))
         with pytest.raises(CorruptCache, match="bad magic"):
+            cache_load(-15, tmp_path)
+
+
+def write_v2(D: int, lines: list[str], cache_dir: Path) -> Path:
+    """A version 2 cache file for D with the given body lines and a correct CRC-32."""
+    body = "".join(line + "\n" for line in ["HDPOLY 2", *lines]).encode("ascii")
+    path = cache_dir / f"hd_{abs(D)}.txt"
+    path.write_bytes(body + b"CRC32 %08x\n" % zlib.crc32(body))
+    return path
+
+
+class TestCacheRejectsPastTheChecksum:
+    """One fault per check that a correct CRC-32 does not stop."""
+
+    def test_empty_file(self, tmp_path):
+        (tmp_path / "hd_15.txt").write_bytes(b"\n")
+        with pytest.raises(CorruptCache, match="empty file"):
+            cache_load(-15, tmp_path)
+
+    def test_line_count(self, tmp_path):
+        write_v2(-15, ["-15", "2", "-121287375", "191025", "1", "0"], tmp_path)
+        with pytest.raises(CorruptCache, match="expected 7 lines, found 8"):
+            cache_load(-15, tmp_path)
+
+    def test_malformed_coefficient(self, tmp_path):
+        write_v2(-15, ["-15", "2", "-121287375", "191025x", "1"], tmp_path)
+        with pytest.raises(CorruptCache, match="malformed"):
+            cache_load(-15, tmp_path)
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            ["-15", "1", "-121287375", "1"],  # degree 1, but h(-15) = 2
+            ["-15", "2", "-121287375", "191025", "2"],  # not monic
+        ],
+        ids=["degree", "monic"],
+    )
+    def test_degree_or_monicity(self, tmp_path, lines):
+        write_v2(-15, lines, tmp_path)
+        with pytest.raises(CorruptCache, match="degree or monicity"):
             cache_load(-15, tmp_path)
 
 

@@ -17,10 +17,14 @@ from hcpkit.errors import (
     FieldTooLarge,
     NotInert,
     SupersingularInput,
+    VerificationFailed,
 )
 from hcpkit.finitefield import (
     FqPoly,
+    _fp_mul,
     _fp_pow,
+    _supersingular_split,
+    _verify_deuring,
     deuring_discriminants,
     fq_context,
     frobenius_trace,
@@ -567,6 +571,65 @@ class TestDeuring:
         assert -4 in deuring_discriminants(fq_context(13, 1).from_int(1728 % 13))
         assert -3 in deuring_discriminants(fq_context(7, 1).zero())
         assert -8 in deuring_discriminants(fq_context(17, 1).from_int(8000 % 17))
+
+
+# the primes dividing the order of the Monster group (Ogg)
+OGG = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 41, 47, 59, 71)
+
+
+class TestSupersingularSplit:
+    @pytest.mark.parametrize("p", primes_upto(200))
+    def test_roots_in_f_p_times_quadratic_factors(self, p):
+        roots, quadratic = _supersingular_split(p)
+        in_fp = sorted(r.encoding for r, _ in roots_in(supersingular_polynomial(p), 1))
+        assert list(roots) == in_fp
+        assert len(roots) + len(quadratic) - 1 == supersingular_count(p)
+        assert (quadratic == (1,)) == (p in OGG)
+
+
+def linear_power(r: int, m: int, p: int) -> tuple[int, ...]:
+    return _fp_pow((-r % p, 1), m, p)
+
+
+class TestVerifyDeuring:
+    def test_accepts_every_pinned_prime_kind(self):
+        # p = 2, 3, 5, 7, 11, 13 and 17, in turn
+        for D in (-3, -15, -23, -71, -311, -479, -2999):
+            _verify_deuring(D, hilbert_class_polynomial(D).coeffs)
+
+    @pytest.mark.parametrize(
+        "D,p",
+        [
+            (-12, 3),  # 2 divides the conductor 2
+            (-63, 5),  # 3 divides the conductor 3; 2 splits
+            (-36, 2),  # 2 ramifies and does not divide the conductor 3
+            (-23, 5),  # 2 and 3 split
+        ],
+    )
+    def test_prime_is_the_least_non_split_one_prime_to_the_conductor(self, D, p):
+        h = class_number(D)
+        wrong = (1,) + (0,) * (h - 1) + (1,)  # X^h + 1: -1 is not supersingular mod p
+        with pytest.raises(VerificationFailed, match=f"mod {p} does not divide"):
+            _verify_deuring(D, wrong)
+        _verify_deuring(D, hilbert_class_polynomial(D).coeffs)
+
+    @pytest.mark.parametrize("coeffs", [(3375, 1, 0), (3375, 2), (3375,)])
+    def test_rejects_wrong_degree_or_leading_coefficient(self, coeffs):
+        with pytest.raises(VerificationFailed, match="not monic of degree"):
+            _verify_deuring(-7, coeffs)
+
+    def test_quadratic_factors_at_p_37(self):
+        # every prime below 37 splits for -118271 (h = 606); ss_37 = (X - 8)(X^2 + 31X + 31)
+        D, p = -118271, 37
+        assert class_number(D) == 606
+        quad = (31, 31, 1)
+        lin = linear_power(8, 600, p)
+        _verify_deuring(D, _fp_mul(lin, _fp_pow(quad, 3, p), p))
+        # X^2 - 2 is irreducible mod 37, but not supersingular
+        for other in ((-2 % p, 0, 1), _fp_mul(linear_power(1, 1, p), linear_power(2, 1, p), p)):
+            coeffs = _fp_mul(lin, _fp_mul(_fp_pow(quad, 2, p), other, p), p)
+            with pytest.raises(VerificationFailed, match="mod 37 does not divide"):
+                _verify_deuring(D, coeffs)
 
 
 class TestMichelCounts:

@@ -1,4 +1,4 @@
-"""The j-function oracle and the precision estimate."""
+"""The j and gamma2 evaluators and the precision estimate."""
 
 from __future__ import annotations
 
@@ -10,7 +10,8 @@ import pytest
 from hcpkit import classpoly
 from hcpkit.classpoly import hilbert_class_polynomial
 from hcpkit.errors import PrecisionExhausted
-from hcpkit.modfunc import _pentagonal, j_tau, required_precision
+from hcpkit.quadforms import reduced_forms
+from hcpkit.modfunc import _gamma2_tau, _height_bits, _pentagonal, j_tau, required_precision
 
 
 def close(value, target, prec_bits):
@@ -22,6 +23,10 @@ class TestRequiredPrecision:
         assert required_precision(-3) == 80
         assert required_precision(-4) == 82
         assert required_precision(-15) == 107
+
+    def test_height_bits_is_the_bound_inside(self):
+        for D in (-3, -4, -15, -23, -2999):
+            assert required_precision(D) == _height_bits(D) + 64 + 8 * len(reduced_forms(D))
 
     def test_grows_with_discriminant(self):
         values = [required_precision(D) for D in (-3, -23, -71, -471, -971)]
@@ -188,10 +193,78 @@ class TestJTau:
         assert serial == parallel
 
 
+TAUS = [
+    # near rho = exp(2 pi i/3), where gamma2 ~ 0 and 256 q r^24 + 1 cancels
+    lambda: mp.mpc(-0.5, mp.sqrt(3) / 2) + mp.mpf(10) ** -20,
+    lambda: mp.mpc(0, 1),
+    lambda: mp.mpc(mp.mpf("0.3"), mp.mpf("0.41")),  # edge of Im > 0.4
+    lambda: mp.mpc(mp.mpf("0.23"), mp.mpf("1.31")),
+]
+TAU_IDS = ["rho", "i", "im-0.41", "generic"]
+
+
+class TestGamma2:
+    @pytest.mark.parametrize("prec", [96, 160, 1024])
+    def test_value_at_i(self, prec):
+        with mp.workprec(prec + 40):
+            value = _gamma2_tau(mp.mpc(0, 1), prec)
+            assert abs(value - 12) <= mp.ldexp(12, -(prec - 8))
+
+    @pytest.mark.parametrize("tau", TAUS, ids=TAU_IDS)
+    @pytest.mark.parametrize("prec", [96, 160, 1024, 4096])
+    def test_cube_is_j_within_the_documented_bounds(self, tau, prec):
+        # errors e max(1, |g|) in g and e max(1, |j|) in j, e = 2^-(prec-8),
+        # put g^3 within 3e max(1, |g|)^3 of j's value and j_tau within e max(1, |j|)
+        with mp.workprec(prec + 40):
+            t = tau()
+            g = _gamma2_tau(t, prec)
+            bound = 4 * mp.ldexp(1, -(prec - 8)) * max(1, abs(g)) ** 3
+            assert abs(g**3 - j_tau(t, prec)) <= bound
+
+    @pytest.mark.parametrize("tau", TAUS[1:], ids=TAU_IDS[1:])
+    @pytest.mark.parametrize("prec", [96, 160, 1024, 4096])
+    def test_guard_keeps_32_bits_inside_the_documented_bound(self, tau, prec):
+        # the reference is the cube root of mpmath's kleinj nearest gamma2
+        with mp.workprec(prec + 160):
+            t = tau()
+            value = _gamma2_tau(t, prec)
+            root = mp.cbrt(1728 * mp.kleinj(t))
+            zeta3 = mp.exp(2j * mp.pi / 3)
+            target = min((root * zeta3**k for k in range(3)), key=lambda z: abs(z - value))
+            bound = mp.ldexp(1, -(prec - 8)) * max(1, abs(target))
+            assert abs(value - target) <= mp.ldexp(bound, -32)
+
+    def test_period_three_up_to_a_cube_root_of_unity(self):
+        prec = 128
+        with mp.workprec(prec + 10):
+            tau = mp.mpc(0.23, 1.31)
+            a = _gamma2_tau(tau, prec)
+            b = _gamma2_tau(tau + 1, prec)
+            assert abs(b - a * mp.exp(-2j * mp.pi / 3)) <= mp.ldexp(1, -(prec - 16)) * abs(a)
+
+    def test_inversion_symmetry(self):
+        prec = 128
+        with mp.workprec(prec + 10):
+            tau = mp.mpc(0.3, 1.1)
+            a = _gamma2_tau(tau, prec)
+            b = _gamma2_tau(-1 / tau, prec)
+            assert abs(a - b) <= mp.ldexp(1, -(prec - 16)) * max(1, abs(a))
+
+    def test_preconditions(self):
+        with pytest.raises(ValueError):
+            _gamma2_tau(mp.mpc(0, 0.3), 128)
+        with pytest.raises(ValueError):
+            _gamma2_tau(mp.mpc(0, 2), 32)
+
+
 @pytest.mark.parametrize(
     "build, p0",
     [
-        (lambda cache_dir: hilbert_class_polynomial(-23, cache_dir), required_precision(-23)),
+        # 3 does not divide 23: W_{-23} starts at a third of the height bound
+        (
+            lambda cache_dir: hilbert_class_polynomial(-23, cache_dir),
+            -(-_height_bits(-23) // 3) + 64 + 8 * 3,
+        ),
         (lambda cache_dir: hilbert_class_polynomial(-23, cache_dir, prec_bits=200), 200),
     ],
     ids=["H_D", "H_D-prec_bits"],
