@@ -33,15 +33,6 @@ class Factorization:
     factors: tuple[tuple[int, int], ...]
     cofactor: int
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.factors)
-
-    def value(self) -> int:
-        out = self.cofactor
-        for p, e in self.factors:
-            out *= p**e
-        return out
-
 
 def kronecker(D: int, n: int) -> int:
     """Kronecker symbol (D/n) for n >= 1, multiplicative in n.

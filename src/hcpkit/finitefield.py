@@ -155,14 +155,13 @@ def _fp_is_irreducible(f: tuple[int, ...], p: int) -> bool:
 
 def _least_irreducible(p: int, m: int) -> tuple[int, ...]:
     """Monic irreducible of degree m minimizing sum(c_i * p^i) over F_p."""
+    # an irreducible of every degree exists over F_p, so enc stays below p^m
     for enc in count(0):
         digits = []
         e = enc
         for _ in range(m):
             e, d = divmod(e, p)
             digits.append(d)
-        if e:
-            raise NotFound(f"no irreducible of degree {m} over F_{p}")
         f = tuple(digits) + (1,)
         if _fp_is_irreducible(f, p):
             return f
@@ -217,11 +216,11 @@ class Fq:
 
     def multiplicative_generator(self) -> FqElement:
         primes = prime_divisors(self.q - 1)
-        for enc in range(1, self.q):
+        # F_q^x is cyclic, so a generator turns up before enc reaches q
+        for enc in count(1):
             g = self.from_encoding(enc)
             if all(g ** ((self.q - 1) // r) != self.one() for r in primes):
                 return g
-        raise NotFound("no generator found")  # unreachable for a true field
 
     def __repr__(self) -> str:
         return f"Fq({self.p}^{self.m})"
@@ -307,10 +306,6 @@ class FqElement:
         o = self._coerce(other)
         return o if o is NotImplemented else self + (-o)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return o if o is NotImplemented else o + (-self)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
@@ -326,13 +321,9 @@ class FqElement:
         o = self._coerce(other)
         return o if o is NotImplemented else self * o.inverse()
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return o if o is NotImplemented else o * self.inverse()
-
     def __pow__(self, e: int) -> FqElement:
         if e < 0:
-            return self.inverse() ** (-e)
+            raise ValueError("negative exponent")
         f = self.field
         return FqElement(f, _fp_pow(self.coords, e, f.p, f.modulus))
 
@@ -482,11 +473,6 @@ class FqPoly:
         for c in reversed(self._t):
             acc = _fp_add(_fq_mul(acc, x.coords, field), c, field.p)
         return FqElement(field, acc)
-
-    def derivative(self) -> FqPoly:
-        p = self.field.p
-        t = [_fp_trim([i * d % p for d in c]) for i, c in enumerate(self._t) if i]
-        return FqPoly._of(self.field, _fp_trim(t))
 
     def __eq__(self, other):
         if not isinstance(other, FqPoly):
@@ -692,10 +678,6 @@ def _verify_deuring(D: int, coeffs: tuple[int, ...]) -> None:
             rest = quot
     if len(rest) > 1:
         raise VerificationFailed(f"H_{D} mod {p} does not divide ss_{p}^{h}")
-
-
-def supersingular_count(p: int) -> int:
-    return supersingular_polynomial(p).degree
 
 
 # ---------------------------------------------------------------------------

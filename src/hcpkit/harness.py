@@ -104,12 +104,6 @@ def csv_row_writer(fh) -> Callable[[ExperimentRecord], None]:
     return lambda rec: writer.writerow(rec.as_csv_row())
 
 
-def write_csv(records: Iterable[ExperimentRecord], fh) -> None:
-    write_row = csv_row_writer(fh)
-    for rec in records:
-        write_row(rec)
-
-
 def write_json(records: Iterable[ExperimentRecord], fh) -> None:
     json.dump([rec.as_json_obj() for rec in records], fh, indent=2)
     fh.write("\n")

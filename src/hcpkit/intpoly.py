@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -21,16 +20,6 @@ class IntPolynomial:
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
-
-    @classmethod
-    def constant(cls, c: int) -> IntPolynomial:
-        return cls((c,))
-
-    @classmethod
-    def monomial(cls, k: int, c: int = 1) -> IntPolynomial:
-        if k < 0:
-            raise ValueError("exponent must be nonnegative")
-        return cls((0,) * k + (c,))
 
     @property
     def degree(self) -> int:
@@ -49,15 +38,6 @@ class IntPolynomial:
     @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.coeffs)
-
-    def __getitem__(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
 
     def __neg__(self) -> IntPolynomial:
         return IntPolynomial(tuple(-c for c in self.coeffs))
@@ -110,23 +90,12 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> IntPolynomial:
-        return IntPolynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i))
-
     def compose(self, inner: IntPolynomial) -> IntPolynomial:
         """self(inner(T)), by Horner over polynomials."""
         acc = IntPolynomial()
         for c in reversed(self.coeffs):
             acc = acc * inner + IntPolynomial((c,))
         return acc
-
-    def shift(self, k: int) -> IntPolynomial:
-        """Multiply by T^k."""
-        if k < 0:
-            raise ValueError("negative shift")
-        if not self.coeffs:
-            return self
-        return IntPolynomial((0,) * k + self.coeffs)
 
     def content(self) -> int:
         g = 0
@@ -220,24 +189,3 @@ class IntPolynomial:
         if a.leading < 0:
             a = -a
         return a * cont
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts: list[str] = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            mag = abs(c)
-            if k == 0:
-                term = str(mag)
-            elif k == 1:
-                term = "T" if mag == 1 else f"{mag}*T"
-            else:
-                term = f"T^{k}" if mag == 1 else f"{mag}*T^{k}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)

@@ -89,7 +89,7 @@ class TestFactorize:
     def test_complete_factorization_matches_sympy(self, n):
         fac = factorize(n, 1 << 16)
         assert fac.cofactor == 1
-        assert fac.as_dict() == sympy.factorint(n)
+        assert dict(fac.factors) == sympy.factorint(n)
 
     @given(st.integers(2, 10**9))
     @settings(max_examples=40)
@@ -104,8 +104,8 @@ class TestFactorize:
     def test_semiprime_beyond_trial_bound_still_resolves(self):
         n = 1000003 * 1000033
         fac = factorize(n, 10)
-        assert fac.value() == n
-        assert fac.as_dict() == {1000003: 1, 1000033: 1}
+        assert fac.cofactor == 1
+        assert fac.factors == ((1000003, 1), (1000033, 1))
 
     def test_rho_hands_n_back_when_its_budget_runs_out(self, time_limit):
         # two 41-bit primes need about 2^20 rho steps, far past 1000
@@ -113,6 +113,11 @@ class TestFactorize:
         with time_limit(10):
             assert _pollard_rho(n, 1000) == n
             assert _rho_split(n * (2**61 - 1), 1000) == ([], n * (2**61 - 1))
+
+    @pytest.mark.parametrize("n,p", [(25, 5), (35, 5), (49, 7), (55, 5), (65, 5)])
+    def test_rho_backtracks_when_a_batch_overshoots(self, n, p):
+        # at c = 1 the batched gcd reaches n, and Brent's one-step backtrack finds p
+        assert _pollard_rho(n) == p
 
     def test_rho_split_reports_every_prime_with_repeats(self):
         primes, cofactor = _rho_split(1000003**2 * 1000033, 1 << 16)

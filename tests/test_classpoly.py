@@ -295,13 +295,17 @@ def test_every_fresh_h_d_passes_one_deuring_check(monkeypatch):
     assert checks == [(D, poly.coeffs) for D, poly in zip(FUNDAMENTAL_TO_1000, polys)]
 
 
+def monomial(k: int, c: int = 1) -> IntPolynomial:
+    return IntPolynomial((0,) * k + (c,))
+
+
 def faults(poly: IntPolynomial) -> list[IntPolynomial]:
     """poly with +-1 on each coefficient below the leading one, and poly + X^h, + X^(h+1)."""
     h, out = poly.degree, []
     for k in range(h):
         for e in (1, -1):
-            out.append(poly + IntPolynomial.monomial(k, e))
-    return out + [poly + IntPolynomial.monomial(h), poly + IntPolynomial.monomial(h + 1)]
+            out.append(poly + monomial(k, e))
+    return out + [poly + monomial(h), poly + monomial(h + 1)]
 
 
 # The j route at -75 (p = 2), W_D at -23 (p = 5) and at -311 (p = 11).
@@ -324,7 +328,7 @@ def test_a_wrong_h_d_fails_the_deuring_check(monkeypatch, tmp_path, D, unseen):
             assert classpoly._memo == {} and not cache_dir.exists()
             continue
         passed.append(fault)
-    assert passed == [h_d + IntPolynomial.monomial(k, e) for k, e in unseen]
+    assert passed == [h_d + monomial(k, e) for k, e in unseen]
 
 
 H_M15 = IntPolynomial((-121287375, 191025, 1))
@@ -351,6 +355,15 @@ class TestCacheFormat:
 
     def test_missing_returns_none(self, tmp_path):
         assert cache_load(-15, tmp_path) is None
+
+    def test_failed_store_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        def replace_fails(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(classpoly.os, "replace", replace_fails)
+        with pytest.raises(OSError, match="disk full"):
+            cache_store(-15, H_M15, tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_flipped_byte_detected(self, tmp_path):
         cache_store(-15, IntPolynomial((-121287375, 191025, 1)), tmp_path)

@@ -334,6 +334,10 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as exc:
             main(["prop23", "--D", "-7;x", "--p", "2", "--n", "1"])
         assert exc.value.code == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["prop23", "--D=-7,x", "--p", "2", "--n", "1"])
+        assert exc.value.code == 1
+        assert "argument --D: not a comma-separated integer list: '-7,x'" in capsys.readouterr().err
 
 
 def _fake_gcd_growth(a, b, p, D_cap, h_cap=2000, cache_dir=None, sink=None):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sympy import Poly, Symbol
 from sympy import cyclotomic_poly as sympy_cyclotomic
 
+import hcpkit.cyclomult
 from hcpkit.arith import Factorization, factorize, multiplicative_order
 from hcpkit.cyclomult import (
     cyclotomic_congruence_check,
@@ -17,7 +18,7 @@ from hcpkit.cyclomult import (
     cyclotomic_value,
     lemma44_check,
 )
-from hcpkit.errors import NotFound
+from hcpkit.errors import NotFound, VerificationFailed
 from hcpkit.intpoly import IntPolynomial
 
 T = Symbol("T")
@@ -87,6 +88,15 @@ class TestValue:
     def test_rejects_nonpositive_index(self):
         with pytest.raises(ValueError):
             cyclotomic_value(0, 2)
+
+    def test_inexact_moebius_quotient_raises(self, monkeypatch):
+        # with every mu negated, n = 6 and a = 2 give (2^3 - 1)(2^2 - 1) / (2^6 - 1)(2 - 1) = 21/63
+        divisors = hcpkit.cyclomult._squarefree_divisors
+        monkeypatch.setattr(
+            hcpkit.cyclomult, "_squarefree_divisors", lambda n: [(e, -mu) for e, mu in divisors(n)]
+        )
+        with pytest.raises(VerificationFailed, match="did not divide exactly"):
+            cyclotomic_value(6, 2)
 
 
 @pytest.fixture

@@ -22,6 +22,8 @@ from hcpkit.intpoly import IntPolynomial
 
 F2 = fq_context(2, 1)
 X2 = FqPoly.x(F2)
+F4 = fq_context(2, 2)
+X4 = FqPoly.x(F4)
 
 
 class TestDiscriminantStream:
@@ -50,6 +52,21 @@ class TestFindCommonCmPoint:
         assert found.alpha.encoding == 2
         assert found.k == 1
         assert found.D == -15
+
+    def test_base_field_is_an_extension(self):
+        # the same map over F_4: roots are searched in F_4 alone, up to m_max
+        found = find_common_cm_point(X4, X4 + FqPoly(F4, [1]), 2)
+        assert found.alpha.field is F4
+        assert found.alpha.encoding == 2
+        assert (found.k, found.D) == (1, -15)
+        with pytest.raises(NotFound):
+            find_common_cm_point(X4, X4 + FqPoly(F4, [1]), 2, m_max=1)
+
+    def test_supersingular_value_beyond_the_discriminant_bound(self):
+        # alpha = 0 gives j = 0, supersingular in characteristic 2, and no
+        # discriminant has |D| <= 2
+        with pytest.raises(NotFound, match=r"no discriminant with \|D\| <= 2"):
+            find_common_cm_point(X2, X2 * X2, 2, ss_disc_bound=2)
 
     def test_p_power_core_shifts_k(self):
         # A = X^2 strips to core X with one Frobenius factor absorbed
@@ -131,8 +148,10 @@ class TestGcdDegreeGrowth:
             gcd_degree_growth(X2, X2 * X2, -3, 2, 3, h_cap=3)
 
     def test_field_mismatch_rejected(self):
-        with pytest.raises(PreconditionFailed):
+        with pytest.raises(PreconditionFailed, match="characteristic 2 differs from 5"):
             gcd_degree_growth(X2, X2, -3, 5, 1)
+        with pytest.raises(PreconditionFailed, match="must share a field"):
+            gcd_degree_growth(X2, X4, -3, 2, 1)
 
 
 class TestCharZeroGcd:

@@ -10,17 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hcpkit.classpoly
+import hcpkit.finitefield
 from hcpkit.arith import discriminants_upto, is_fundamental_discriminant, kronecker
 from hcpkit.classpoly import hilbert_class_polynomial
 from hcpkit.errors import (
     FieldMismatch,
     FieldTooLarge,
+    NotFound,
     NotInert,
     SupersingularInput,
     VerificationFailed,
 )
 from hcpkit.finitefield import (
     FqPoly,
+    _distinct_roots,
     _fp_mul,
     _fp_pow,
     _supersingular_split,
@@ -33,7 +36,6 @@ from hcpkit.finitefield import (
     poly_gcd,
     poly_pow_mod,
     roots_in,
-    supersingular_count,
     supersingular_polynomial,
 )
 from hcpkit.intpoly import IntPolynomial
@@ -133,6 +135,10 @@ class TestFieldAxioms:
         with pytest.raises(ZeroDivisionError):
             field.zero().inverse()
 
+    def test_negative_power_rejected(self, p, m):
+        with pytest.raises(ValueError, match="negative exponent"):
+            fq_context(p, m).one() ** -1
+
 
 def draw_poly(data, field, **sizes) -> FqPoly:
     encodings = data.draw(st.lists(st.integers(0, field.q - 1), **sizes))
@@ -194,6 +200,14 @@ class TestPolynomials:
             FqPoly(f5, [f25.one()])
         with pytest.raises(FieldMismatch):
             FqPoly.x(f5) + FqPoly.x(f25)
+        with pytest.raises(FieldMismatch, match="elements of different fields"):
+            f5.one() + f25.one()
+        with pytest.raises(FieldMismatch, match="elements of different fields"):
+            FqPoly.x(f5) * f25.one()
+        with pytest.raises(FieldMismatch, match="argument from a different field"):
+            FqPoly.x(f5).evaluate(f25.one())
+        with pytest.raises(FieldMismatch, match="polynomials over different fields"):
+            poly_gcd(FqPoly.x(f5), FqPoly(f25))  # a zero g, so no division checks it
 
     def test_division_by_zero_poly(self):
         field = fq_context(5, 1)
@@ -268,13 +282,12 @@ class TestPolynomials:
         with pytest.raises(ValueError):
             poly_pow_mod(FqPoly.x(field), -1, FqPoly(field, [1, 1]))
 
-    def test_evaluate_and_derivative(self):
+    def test_evaluate(self):
         field = fq_context(11, 1)
         poly = FqPoly(field, [3, 0, 1, 4])  # 4x^3 + x^2 + 3
         for n in range(11):
             x = field.from_int(n)
             assert poly.evaluate(x) == field.from_int(4 * n**3 + n**2 + 3)
-        assert poly.derivative() == FqPoly(field, [0, 2, 12])
 
     def test_lift_poly_preserves_values(self):
         f5 = fq_context(5, 1)
@@ -404,6 +417,18 @@ class TestRoots:
         assert sorted(r.encoding for r, _ in got) == sorted(r.encoding for r in roots)
         assert all(m == 1 for _, m in got)
 
+    def test_splitting_gives_up_when_every_draw_fails(self):
+        # (X - 1)(X - 2) over F_5 with the shift 1: 2 and 3 are both
+        # non-squares, so (X + 1)^2 - 1 shares no factor with it
+        class SameShift:
+            def randrange(self, *args):
+                return 1
+
+        field = fq_context(5, 1)
+        g = FqPoly(field, [2, -3, 1])
+        with pytest.raises(NotFound, match="failed to converge"):
+            _distinct_roots(g, SameShift())
+
     def test_rejects_zero_polynomial(self):
         field = fq_context(5, 1)
         with pytest.raises(ValueError):
@@ -468,7 +493,7 @@ class TestSupersingular:
     def test_count_formula(self, p):
         ss = supersingular_polynomial(p)
         assert ss.leading == fq_context(p, 1).one()
-        assert supersingular_count(p) == ss_count_formula(p)
+        assert ss.degree == ss_count_formula(p)
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
     def test_splits_simply_over_quadratic_extension(self, p):
@@ -540,6 +565,14 @@ class TestFrobeniusTrace:
                         affine += 1
             assert frobenius_trace(j0) == field.q + 1 - (affine + 1)
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_char3_j0_matches_exhaustive_count(self, m):
+        # j = 0 in characteristic 3 is y^2 = x^3 + x
+        field = fq_context(3, m)
+        squares = [y * y for y in field.elements()]
+        affine = sum(squares.count(x * x * x + x) for x in field.elements())
+        assert frobenius_trace(field.zero()) == field.q + 1 - (affine + 1)
+
     def test_hasse_bound_everywhere_small(self):
         for p, m in [(5, 2), (7, 1), (2, 5)]:
             field = fq_context(p, m)
@@ -567,6 +600,13 @@ class TestDeuring:
         assert deuring_discriminants(fq_context(7, 1).from_int(2)) == [-12]
         assert abs(frobenius_trace(fq_context(7, 1).from_int(2))) == 4
 
+    def test_wrong_trace_finds_no_discriminant(self, monkeypatch):
+        # j = 2 over F_5 has trace +-3; with trace 1 the only candidate is
+        # -19, and H_-19(2) = 2 + 884736 = 3 mod 5
+        monkeypatch.setattr(hcpkit.finitefield, "frobenius_trace", lambda j0: 1)
+        with pytest.raises(NotFound, match="no discriminant vanishes at j0"):
+            deuring_discriminants(fq_context(5, 1).from_int(2))
+
     def test_cm_j_values_recover_their_order(self):
         assert -4 in deuring_discriminants(fq_context(13, 1).from_int(1728 % 13))
         assert -3 in deuring_discriminants(fq_context(7, 1).zero())
@@ -583,7 +623,7 @@ class TestSupersingularSplit:
         roots, quadratic = _supersingular_split(p)
         in_fp = sorted(r.encoding for r, _ in roots_in(supersingular_polynomial(p), 1))
         assert list(roots) == in_fp
-        assert len(roots) + len(quadratic) - 1 == supersingular_count(p)
+        assert len(roots) + len(quadratic) - 1 == supersingular_polynomial(p).degree
         assert (quadratic == (1,)) == (p in OGG)
 
 
@@ -661,10 +701,12 @@ class TestMichelCounts:
             assert ss.evaluate(r).is_zero
 
     def test_agrees_with_roots_of_the_lifted_class_polynomial(self):
-        # reference oracle: the general root finder on H_D over F_{p^2}
-        for D in filter(is_fundamental_discriminant, discriminants_upto(300)):
+        # reference oracle: the general root finder on H_D over F_{p^2}; 37
+        # and 43 do not divide the Monster's order (OGG), so some of their
+        # supersingular j lie outside F_p and have quadratic minimal polynomials
+        for D in filter(is_fundamental_discriminant, discriminants_upto(400)):
             h = hilbert_class_polynomial(D)
-            for p in (2, 3, 5, 7, 11, 13):
+            for p in (2, 3, 5, 7, 11, 13, 37, 43):
                 if kronecker(D, p) != -1:
                     continue
                 expected = roots_in(FqPoly(fq_context(p, 1), h.coeffs), 2)

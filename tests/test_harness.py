@@ -12,13 +12,15 @@ from fractions import Fraction
 import pytest
 from sympy import Symbol, factor_list, Poly
 
+import hcpkit.harness
 from hcpkit.arith import discriminants_upto, is_fundamental_discriminant, kronecker
 from hcpkit.classpoly import hilbert_class_polynomial
-from hcpkit.errors import NotFound, PreconditionFailed
+from hcpkit.errors import NotFound, PreconditionFailed, VerificationFailed
 from hcpkit.harness import (
     CSV_HEADER,
     ExperimentRecord,
     _violation_witness,
+    csv_row_writer,
     format_value,
     gcd_growth_rational,
     ordinary_scan,
@@ -27,7 +29,6 @@ from hcpkit.harness import (
     support_scan_modular,
     support_scan_multiplicative,
     support_subset_poly,
-    write_csv,
     write_json,
 )
 from hcpkit.intpoly import IntPolynomial
@@ -65,7 +66,9 @@ class TestRecordSerialization:
             ExperimentRecord("one", {"k": 1}, D=-3, h=1, value=2, passed=True),
             ExperimentRecord("two", value=""),
         ]
-        write_csv(recs, buf)
+        write_row = csv_row_writer(buf)
+        for rec in recs:
+            write_row(rec)
         rows = list(csv.reader(io.StringIO(buf.getvalue())))
         assert rows[0] == CSV_HEADER
         assert rows[1] == ["one", "-3", "1", "k=1", "", "2", "true"]
@@ -365,6 +368,12 @@ class TestOrdinaryScan:
     def test_tight_cap_fails(self):
         with pytest.raises(NotFound):
             ordinary_scan(2, 10, per_prime_D_cap=4)
+
+    def test_wrong_deuring_discriminant_fails_verification(self, monkeypatch):
+        # H_-3 = X, and 2 does not divide H_-3(1) = 1
+        monkeypatch.setattr(hcpkit.harness, "deuring_discriminants", lambda j0: [-3])
+        with pytest.raises(VerificationFailed, match="q = 2 does not divide H_-3"):
+            ordinary_scan(1, 10)
 
     def test_records_flow_to_sink(self):
         seen = []

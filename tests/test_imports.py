@@ -1,6 +1,6 @@
-"""Every module-level import in the library is used, modpoly uses no floats,
-only finitefield knows how F_q elements and polynomials are stored, and only
-classpoly gives up on precision."""
+"""Every module-level import and function in the library is used, modpoly
+uses no floats, only finitefield knows how F_q elements and polynomials are
+stored, and only classpoly gives up on precision."""
 
 from __future__ import annotations
 
@@ -36,6 +36,42 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unnamed_functions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions that no other top-level statement of any module
+    names, as a call, an attribute or an import; a recursive call does not count."""
+    defs, uses = [], []
+    for module, source in sources.items():
+        for i, stmt in enumerate(ast.parse(source).body):
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.append((module, i, stmt.name))
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name.split(".")[-1])
+            uses.append((module, i, names))
+    return [
+        f"{module}.{name}"
+        for module, i, name in defs
+        if not any(name in names for m, j, names in uses if (m, j) != (module, i))
+    ]
+
+
+def test_detects_an_unnamed_function():
+    sources = {
+        "a": "def used():\n    pass\n\ndef dead():\n    pass\n\ndef loop(n):\n    return loop(n - 1)\n",
+        "b": "from a import used\n",
+    }
+    assert unnamed_functions(sources) == ["a.dead", "a.loop"]
+
+
+def test_every_module_level_function_is_named():
+    assert unnamed_functions({p.stem: p.read_text() for p in SRC.glob("*.py")}) == []
 
 
 def test_modpoly_imports_no_floating_point():
