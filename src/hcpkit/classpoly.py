@@ -17,8 +17,8 @@ imaginary parts must be dust, and every coefficient small enough and
 within 0.25 of an integer. A rejected attempt is retried at doubled
 precision, three times, before PrecisionExhausted. Every fresh H_D then
 passes an exact check that does not touch the floating-point path, the
-Deuring congruence of finitefield._verify_deuring, or raises
-VerificationFailed.
+Deuring congruence of finitefield._verify_deuring at the two least
+non-split primes prime to the conductor, or raises VerificationFailed.
 Cache files are plain text written via atomic rename. Version 2 files
 (``HDPOLY 2``, the only ones written) end in a CRC-32 trailer, the
 checksum of RFC 1952 that ``zlib.crc32`` computes in C. Version 1 files

@@ -11,18 +11,19 @@ FqElement wraps one residue tuple as it is, so an element and a
 polynomial coefficient share one representation, which no other module
 reads. On top sit gcd and Cantor-Zassenhaus root finding, the
 supersingular polynomial in the Kaneko-Zagier closed form (a truncated
-hypergeometric series, one O(p) loop), Frobenius traces by exhaustive
-point counting, Deuring discriminant search, reduction histograms of
-class polynomials at inert primes, read off the minimal polynomials of
-the supersingular j-invariants (Deuring), and the exact Deuring check
-that classpoly runs on every fresh H_D.
+hypergeometric series, one O(p) loop) and one cached table of its
+irreducible factors over F_p, Frobenius traces by exhaustive point
+counting, Deuring discriminant search, reduction histograms of class
+polynomials at inert primes, read off the minimal polynomials of the
+supersingular j-invariants (Deuring), and the exact Deuring check that
+classpoly runs on every fresh H_D at the two least non-split primes.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import count
+from itertools import count, islice
 from math import isqrt
 
 from .arith import (
@@ -597,14 +598,8 @@ def supersingular_polynomial(p: int) -> FqPoly:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return FqPoly(fq_context(p, 1), _supersingular_coeffs(p))
-
-
-@lru_cache(maxsize=None)
-def _supersingular_coeffs(p: int) -> tuple[int, ...]:
-    """ss_p as an int tuple, constant term first, for a prime p."""
     if p in (2, 3):
-        return (0, 1)
+        return FqPoly(fq_context(p, 1), (0, 1))
     n, delta, eps = p // 12, p % 3 == 2, p % 4 == 3
     twelfth = pow(12, -1, p)
     a, b = (7 * twelfth, 11 * twelfth) if eps else (twelfth, 5 * twelfth)
@@ -617,67 +612,74 @@ def _supersingular_coeffs(p: int) -> tuple[int, ...]:
         ss = _fp_mul(ss, (0, 1), p)
     if eps:
         ss = _fp_mul(ss, (-1728 % p, 1), p)
-    return ss
+    return FqPoly(fq_context(p, 1), ss)
+
+
+def _minpoly(r: FqElement) -> tuple[int, ...]:
+    """Minimal polynomial over F_p of r in F_{p^2}, as an F_p int tuple."""
+    rbar = r**r.field.p
+    if rbar == r:
+        return ((-r).encoding, 1)
+    return ((r * rbar).encoding, (-(r + rbar)).encoding, 1)
 
 
 @lru_cache(maxsize=None)
-def _supersingular_split(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The roots of ss_p in F_p, and the product of its irreducible quadratic factors."""
-    rest = _supersingular_coeffs(p)
-    roots = tuple(r for r in range(p) if not _fp_divmod(rest, (-r % p, 1), p)[1])
-    for r in roots:
-        rest = _fp_divmod(rest, (-r % p, 1), p)[0]
-    return roots, rest
+def _supersingular_factors(p: int) -> tuple[tuple[int, ...], ...]:
+    """ss_p's monic irreducible factors over F_p, each of degree 1 or 2: the
+    minimal polynomials of its roots in F_{p^2}, one per conjugate pair."""
+    return tuple(dict.fromkeys(_minpoly(r) for r, _ in roots_in(supersingular_polynomial(p), 2)))
 
 
-def _fp_strip_root(f: tuple[int, ...], r: int, p: int) -> tuple[int, ...]:
-    """f over (X - r)^m for the largest m, by synthetic division; f monic."""
-    if not r:
-        return f[next(i for i, c in enumerate(f) if c) :]
-    while True:
-        acc, quot = 0, []
-        for c in reversed(f):
-            acc = (acc * r + c) % p
-            quot.append(acc)
-        if acc:
-            return f
-        f = tuple(reversed(quot[:-1]))
+def _fp_strip(f: tuple[int, ...], g: tuple[int, ...], p: int) -> tuple[tuple[int, ...], int]:
+    """(f / g^m, m) for the largest m; f nonzero, g monic linear or quadratic."""
+    m = 0
+    if len(g) == 2:
+        r = -g[0] % p
+        if not r:
+            m = next(i for i, c in enumerate(f) if c)
+            return f[m:], m
+        while True:  # synthetic division by X - r
+            acc, quot = 0, []
+            for c in reversed(f):
+                acc = (acc * r + c) % p
+                quot.append(acc)
+            if acc:
+                return f, m
+            f, m = tuple(reversed(quot[:-1])), m + 1
+    quot, rem = _fp_divmod(f, g, p)
+    while not rem:
+        f, m = quot, m + 1
+        quot, rem = _fp_divmod(f, g, p)
+    return f, m
 
 
 def _verify_deuring(D: int, coeffs: tuple[int, ...]) -> None:
     """Check an H_D exactly, with no floating point; VerificationFailed if it fails.
 
-    coeffs must be monic of degree h(D). Let p be the least prime that does
-    not split in Q(sqrt(D)) and does not divide the conductor of D. Every
-    root of H_D then reduces mod p to a supersingular j (Deuring), so H_D
-    mod p must divide ss_p^h over F_p. ss_p is squarefree, so that holds
-    exactly when H_D mod p is a product of powers of ss_p's linear
-    factors, stripped by synthetic division, and of its irreducible
-    quadratic factors, stripped by gcds.
+    coeffs must be monic of degree h(D). Take the two least primes p that
+    do not split in Q(sqrt(D)) and do not divide the conductor of D. At
+    each, every root of H_D reduces mod p to a supersingular j (Deuring),
+    so H_D mod p must divide ss_p^h over F_p. ss_p is squarefree, so that
+    holds exactly when stripping every factor of _supersingular_factors(p)
+    from H_D mod p leaves a constant. One prime is not enough: H_{-311} + X^8
+    is X^19 mod 11, a power of a supersingular factor.
     """
     h = class_number(D)
     if len(coeffs) != h + 1 or coeffs[-1] != 1:
         raise VerificationFailed(f"H_{D} is not monic of degree h({D}) = {h}")
-    p = next(
+    primes = (
         p
         for p in count(2)
         if is_prime(p)
         and kronecker(D, p) != 1
         and not (D % (p * p) == 0 and is_discriminant(D // (p * p)))
     )
-    rest = tuple(c % p for c in coeffs)
-    roots, quadratic = _supersingular_split(p)
-    for r in roots:
-        rest = _fp_strip_root(rest, r, p)
-    g = _fp_gcd(rest, quadratic, p)
-    while len(g) > 1:
-        quot, rem = _fp_divmod(rest, g, p)
-        if rem:
-            g = _fp_gcd(g, rem, p)  # a factor of g is used up
-        else:
-            rest = quot
-    if len(rest) > 1:
-        raise VerificationFailed(f"H_{D} mod {p} does not divide ss_{p}^{h}")
+    for p in islice(primes, 2):
+        rest = tuple(c % p for c in coeffs)
+        for g in _supersingular_factors(p):
+            rest = _fp_strip(rest, g, p)[0]
+        if len(rest) > 1:
+            raise VerificationFailed(f"H_{D} mod {p} does not divide ss_{p}^{h}")
 
 
 # ---------------------------------------------------------------------------
@@ -816,18 +818,10 @@ def michel_counts(D: int, p: int) -> dict[FqElement, int]:
     if kronecker(D, p) != -1:
         raise NotInert(f"{p} is not inert for discriminant {D}")
     h = hilbert_class_polynomial(D)
-    ss_roots = roots_in(supersingular_polynomial(p), 2)
     hp = h.reduce_mod(p).coeffs
     out: dict[FqElement, int] = {}
-    for r, _ in ss_roots:
-        rbar = r**p
-        if rbar == r:
-            minpoly = ((-r).encoding, 1)
-        else:
-            minpoly = ((r * rbar).encoding, (-(r + rbar)).encoding, 1)
-        mult, (rest, rem) = 0, _fp_divmod(hp, minpoly, p)
-        while not rem:
-            mult, (rest, rem) = mult + 1, _fp_divmod(rest, minpoly, p)
+    for r, _ in roots_in(supersingular_polynomial(p), 2):
+        mult = _fp_strip(hp, _minpoly(r), p)[1]
         if mult:
             out[r] = mult
     if sum(out.values()) != h.degree:

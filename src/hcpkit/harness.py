@@ -3,8 +3,9 @@
 Each driver walks a parameter grid, evaluates exact quantities, and
 yields ExperimentRecord rows that serialize identically to CSV or JSON.
 Drivers accept an optional sink callable and hand each record over as
-soon as it exists, so long scans need not accumulate output in memory;
-the returned values stay small (violation lists, summaries).
+soon as it exists. The support scans return only their violations and
+ordinary_scan its (q, D_q) pairs, so those need not accumulate output in
+memory; gcd_growth_rational returns every record, its summary row last.
 """
 
 from __future__ import annotations

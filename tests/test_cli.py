@@ -6,6 +6,9 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from types import SimpleNamespace
@@ -520,3 +523,18 @@ def test_readme_example_output(argv, fmt, capsys, tmp_path):
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     code, csv_sha, json_sha = README_OUTPUTS[" ".join(argv)]
     assert (rc, digest) == (code, csv_sha if fmt == "csv" else json_sha)
+
+
+def test_module_entry_point(tmp_path):
+    """`python -m hcpkit.cli` runs main and exits with its return code."""
+    src = str(README.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "hcpkit.cli", "classnum", "-47"],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert rows_of(proc.stdout) == [["classnum", "-47", "5", "", "", "5", ""]]

@@ -24,9 +24,12 @@ from hcpkit.errors import (
 from hcpkit.finitefield import (
     FqPoly,
     _distinct_roots,
+    _fp_divmod,
+    _fp_is_irreducible,
     _fp_mul,
     _fp_pow,
-    _supersingular_split,
+    _fp_strip,
+    _supersingular_factors,
     _verify_deuring,
     deuring_discriminants,
     fq_context,
@@ -620,11 +623,41 @@ OGG = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 41, 47, 59, 71)
 class TestSupersingularSplit:
     @pytest.mark.parametrize("p", primes_upto(200))
     def test_roots_in_f_p_times_quadratic_factors(self, p):
-        roots, quadratic = _supersingular_split(p)
-        in_fp = sorted(r.encoding for r, _ in roots_in(supersingular_polynomial(p), 1))
-        assert list(roots) == in_fp
-        assert len(roots) + len(quadratic) - 1 == supersingular_polynomial(p).degree
-        assert (quadratic == (1,)) == (p in OGG)
+        factors = _supersingular_factors(p)
+        product: tuple[int, ...] = (1,)
+        for g in factors:
+            assert g[-1] == 1 and len(g) in (2, 3) and _fp_is_irreducible(g, p)
+            product = _fp_mul(product, g, p)
+        ss = supersingular_polynomial(p)
+        assert product == tuple(c.encoding for c in ss.coeffs)
+        in_fp = [r.encoding for r, _ in roots_in(ss, 1)]
+        assert sorted(-g[0] % p for g in factors if len(g) == 2) == in_fp
+        assert all(len(g) == 2 for g in factors) == (p in OGG)
+
+
+def strip_by_division(f, g, p):
+    """(f / g^m, m) for the largest m, one _fp_divmod at a time."""
+    m, (quot, rem) = 0, _fp_divmod(f, g, p)
+    while not rem:
+        f, m, (quot, rem) = quot, m + 1, _fp_divmod(quot, g, p)
+    return f, m
+
+
+class TestFpStrip:
+    @pytest.mark.parametrize(
+        "p,g",
+        [(2, (0, 1)), (2, (1, 1)), (2, (1, 1, 1)), (37, (0, 1)), (37, (29, 1)), (37, (31, 31, 1))],
+        ids=["2-X", "2-X+1", "2-X^2+X+1", "37-X", "37-X-8", "37-X^2+31X+31"],
+    )
+    def test_matches_repeated_division(self, p, g):
+        rng = random.Random(p * 1000 + g[0] * 10 + len(g))
+        for _ in range(40):
+            k = rng.randrange(6)
+            u = tuple(rng.randrange(p) for _ in range(rng.randrange(10))) + (1,)
+            f = _fp_mul(_fp_pow(g, k, p), u, p)
+            quot, m = _fp_strip(f, g, p)
+            assert (quot, m) == strip_by_division(f, g, p)
+            assert m >= k and _fp_mul(quot, _fp_pow(g, m, p), p) == f
 
 
 def linear_power(r: int, m: int, p: int) -> tuple[int, ...]:
@@ -659,17 +692,20 @@ class TestVerifyDeuring:
             _verify_deuring(-7, coeffs)
 
     def test_quadratic_factors_at_p_37(self):
-        # every prime below 37 splits for -118271 (h = 606); ss_37 = (X - 8)(X^2 + 31X + 31)
-        D, p = -118271, 37
-        assert class_number(D) == 606
-        quad = (31, 31, 1)
-        lin = linear_power(8, 600, p)
-        _verify_deuring(D, _fp_mul(lin, _fp_pow(quad, 3, p), p))
+        # ss_37 = (X - 8)(X^2 + 31X + 31); the primes of the check at -7328
+        # are 5 and 37, and H_{-7328} mod 37 uses both factors
+        p = 37
+        lin, quad = _supersingular_factors(p)
+        assert (lin, quad) == ((29, 1), (31, 31, 1))
+        coeffs = hilbert_class_polynomial(-7328).coeffs
+        _verify_deuring(-7328, coeffs)
+        rest, m = _fp_strip(tuple(c % p for c in coeffs), lin, p)
+        assert m == 18 and _fp_strip(rest, quad, p) == ((1,), 17)
         # X^2 - 2 is irreducible mod 37, but not supersingular
+        good = _fp_mul(linear_power(8, 600, p), _fp_pow(quad, 2, p), p)
         for other in ((-2 % p, 0, 1), _fp_mul(linear_power(1, 1, p), linear_power(2, 1, p), p)):
-            coeffs = _fp_mul(lin, _fp_mul(_fp_pow(quad, 2, p), other, p), p)
-            with pytest.raises(VerificationFailed, match="mod 37 does not divide"):
-                _verify_deuring(D, coeffs)
+            rest, m = _fp_strip(_fp_mul(good, other, p), lin, p)
+            assert m == 600 and _fp_strip(rest, quad, p) == (other, 2)
 
 
 class TestMichelCounts:
