@@ -151,12 +151,15 @@ def _assemble(D: int, prec: int) -> IntPolynomial | None:
 
 
 def _start_precision(D: int) -> int:
-    """The ladder's first precision: required_precision(D) on the j route,
-    and on the W_D route, whose coefficients have a third of H_D's bits,
-    the same margin over a third of the height bound."""
+    """The ladder's first precision: required_precision(D), the height bound
+    B plus 64 bits of margin, on the j route, and on the W_D route, whose
+    coefficients have a third of H_D's bits, the same margin over ceil(B/3).
+    Neither adds a per-degree term."""
+    prec = required_precision(D)
     if D % 3 == 0:
-        return required_precision(D)
-    return -(-_height_bits(D) // 3) + 64 + 8 * class_number(D)
+        return prec
+    bits = _height_bits(D)
+    return prec - bits + -(-bits // 3)
 
 
 def hilbert_class_polynomial(
@@ -167,11 +170,12 @@ def hilbert_class_polynomial(
     """H_D(T), monic of degree h(D) over Z.
 
     Results are memoized in process and, when cache_dir is given, stored
-    on disk. An explicit prec_bits bypasses both caches and starts the
-    retry ladder at that precision instead of _start_precision(D); it is
-    the precision of W_D when 3 does not divide D. A fresh H_D that fails
-    the Deuring check raises VerificationFailed and is neither memoized
-    nor stored.
+    on disk. The retry ladder starts at _start_precision(D), the height
+    bound of the polynomial assembled plus 64 bits of margin, with no
+    per-degree term. An explicit prec_bits bypasses both caches and starts
+    the ladder at that precision instead; it is the precision of W_D when
+    3 does not divide D. A fresh H_D that fails the Deuring check raises
+    VerificationFailed and is neither memoized nor stored.
     """
     if not is_discriminant(D):
         raise ValueError(f"{D} is not a negative discriminant")

@@ -25,6 +25,7 @@ import random
 from functools import lru_cache
 from itertools import count, islice
 from math import isqrt
+from operator import index
 
 from .arith import (
     is_discriminant,
@@ -184,7 +185,8 @@ class Fq:
         self.modulus = modulus
 
     def element(self, coords) -> FqElement:
-        c = [int(x) % self.p for x in coords]
+        """The element with these coordinates, each an int or an __index__ type."""
+        c = [index(x) % self.p for x in coords]
         if len(c) > self.m:
             raise ValueError("too many coordinates")
         return FqElement(self, _fp_trim(c))
@@ -350,7 +352,9 @@ class FqPoly:
     """Dense polynomial over one Fq context, constant term first.
 
     The coefficients are held as a trimmed tuple of coordinate tuples, and
-    the operators compute on those; `coeffs` gives them as FqElements.
+    the operators compute on those; `coeffs` gives them as FqElements. A
+    coefficient is an FqElement of the field, or an int or __index__ type
+    read mod p; a float raises TypeError.
     """
 
     __slots__ = ("field", "_t")
@@ -360,7 +364,7 @@ class FqPoly:
         for c in coeffs:
             if isinstance(c, FqElement) and c.field is not field:
                 raise FieldMismatch("coefficient from a different field")
-            cs.append(c.coords if isinstance(c, FqElement) else _fp_trim([int(c) % field.p]))
+            cs.append(c.coords if isinstance(c, FqElement) else _fp_trim([index(c) % field.p]))
         self.field, self._t = field, _fp_trim(cs)
 
     @classmethod
@@ -653,6 +657,18 @@ def _fp_strip(f: tuple[int, ...], g: tuple[int, ...], p: int) -> tuple[tuple[int
     return f, m
 
 
+def _strip_supersingular(f: tuple[int, ...], p: int) -> tuple[dict[tuple[int, ...], int], bool]:
+    """Strip each factor of _supersingular_factors(p) from f over F_p, once.
+
+    Returns each factor's multiplicity in f, and whether a non-constant part
+    of f is left; f is nonzero.
+    """
+    mults = {}
+    for g in _supersingular_factors(p):
+        f, mults[g] = _fp_strip(f, g, p)
+    return mults, len(f) > 1
+
+
 def _verify_deuring(D: int, coeffs: tuple[int, ...]) -> None:
     """Check an H_D exactly, with no floating point; VerificationFailed if it fails.
 
@@ -660,9 +676,9 @@ def _verify_deuring(D: int, coeffs: tuple[int, ...]) -> None:
     do not split in Q(sqrt(D)) and do not divide the conductor of D. At
     each, every root of H_D reduces mod p to a supersingular j (Deuring),
     so H_D mod p must divide ss_p^h over F_p. ss_p is squarefree, so that
-    holds exactly when stripping every factor of _supersingular_factors(p)
-    from H_D mod p leaves a constant. One prime is not enough: H_{-311} + X^8
-    is X^19 mod 11, a power of a supersingular factor.
+    holds exactly when _strip_supersingular leaves a constant of H_D mod p.
+    One prime is not enough: H_{-311} + X^8 is X^19 mod 11, a power of a
+    supersingular factor.
     """
     h = class_number(D)
     if len(coeffs) != h + 1 or coeffs[-1] != 1:
@@ -675,10 +691,7 @@ def _verify_deuring(D: int, coeffs: tuple[int, ...]) -> None:
         and not (D % (p * p) == 0 and is_discriminant(D // (p * p)))
     )
     for p in islice(primes, 2):
-        rest = tuple(c % p for c in coeffs)
-        for g in _supersingular_factors(p):
-            rest = _fp_strip(rest, g, p)[0]
-        if len(rest) > 1:
+        if _strip_supersingular(tuple(c % p for c in coeffs), p)[1]:
             raise VerificationFailed(f"H_{D} mod {p} does not divide ss_{p}^{h}")
 
 
@@ -809,7 +822,8 @@ def michel_counts(D: int, p: int) -> dict[FqElement, int]:
 
     Keys are supersingular j-invariants; multiplicities sum to h(D). By
     Deuring every root is supersingular, so the multiplicity of a root r is
-    how often its minimal polynomial over F_p divides H_D mod p.
+    how often its minimal polynomial over F_p divides H_D mod p, which
+    _strip_supersingular finds once per factor, for both conjugate roots.
     """
     from .classpoly import hilbert_class_polynomial
 
@@ -817,13 +831,12 @@ def michel_counts(D: int, p: int) -> dict[FqElement, int]:
         raise ValueError(f"{D} is not a fundamental discriminant")
     if kronecker(D, p) != -1:
         raise NotInert(f"{p} is not inert for discriminant {D}")
-    h = hilbert_class_polynomial(D)
-    hp = h.reduce_mod(p).coeffs
+    mults, left = _strip_supersingular(hilbert_class_polynomial(D).reduce_mod(p).coeffs, p)
+    if left:
+        raise VerificationFailed(f"H_{D} mod {p} is not a product of supersingular factors")
     out: dict[FqElement, int] = {}
     for r, _ in roots_in(supersingular_polynomial(p), 2):
-        mult = _fp_strip(hp, _minpoly(r), p)[1]
+        mult = mults[_minpoly(r)]
         if mult:
             out[r] = mult
-    if sum(out.values()) != h.degree:
-        raise VerificationFailed(f"H_{D} mod {p} is not a product of supersingular factors")
     return out

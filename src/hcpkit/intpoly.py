@@ -1,14 +1,17 @@
 """Dense univariate polynomials over Z with exact arithmetic.
 
 Coefficients are arbitrary-size ints stored constant term first; the zero
-polynomial is the empty tuple and has degree -1. Evaluation is generic
-Horner, so any ring element supporting +, * with int coefficients works.
+polynomial is the empty tuple and has degree -1. A coefficient is taken
+through operator.index, so a float raises TypeError instead of being
+truncated. Evaluation is generic Horner, so any ring element supporting
++, * with int coefficients works.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import index
 
 
 @dataclass(frozen=True)
@@ -16,7 +19,7 @@ class IntPolynomial:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        c = tuple(int(x) for x in self.coeffs)
+        c = tuple(map(index, self.coeffs))
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)

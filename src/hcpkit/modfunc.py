@@ -25,7 +25,7 @@ from math import ceil, isqrt, log, pi
 import mpmath
 from mpmath import mp
 
-from .quadforms import class_number, inv_a_sum
+from .quadforms import inv_a_sum
 
 MP_LOCK = threading.RLock()
 
@@ -41,10 +41,10 @@ def _height_bits(D: int) -> int:
 def required_precision(D: int) -> int:
     """Working precision in bits for assembling the degree-h(D) product.
 
-    _height_bits(D) bounds the dominant coefficient size; 64 bits of margin
-    plus 8 per degree guard the rounding.
+    _height_bits(D) bounds the dominant coefficient size, and 64 bits of
+    margin guard the rounding, whatever the degree.
     """
-    return _height_bits(D) + 64 + 8 * class_number(D)
+    return _height_bits(D) + 64
 
 
 def _cmul(ar: int, ai: int, br: int, bi: int, shift: int) -> tuple[int, int]:

@@ -12,6 +12,7 @@ VerificationFailed is raised.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import index
 
 from .arith import is_prime
 from .errors import UnsupportedLevel, VerificationFailed
@@ -20,12 +21,15 @@ SUPPORTED_LEVELS = (1, 2, 3, 5, 7)
 
 
 class BivarIntPolynomial:
-    """Integer polynomial in X and Y stored as a sparse coefficient map."""
+    """Integer polynomial in X and Y stored as a sparse coefficient map.
+
+    Coefficients are taken through operator.index: a float raises TypeError.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: dict[tuple[int, int], int]):
-        self.coeffs = {k: int(v) for k, v in coeffs.items() if v}
+        self.coeffs = {k: index(v) for k, v in coeffs.items() if v}
 
     def coefficient(self, i: int, j: int) -> int:
         return self.coeffs.get((i, j), 0)

@@ -13,10 +13,11 @@ import zlib
 from pathlib import Path
 
 import pytest
+import sympy
 from mpmath import mp
 
 from hcpkit import classpoly
-from hcpkit.arith import is_fundamental_discriminant
+from hcpkit.arith import is_discriminant, is_fundamental_discriminant, kronecker
 from hcpkit.classpoly import (
     cache_load,
     cache_store,
@@ -28,6 +29,7 @@ from hcpkit.classpoly import (
 from hcpkit.errors import CapExceeded, CorruptCache, PrecisionExhausted, VerificationFailed
 from hcpkit.intpoly import IntPolynomial
 from hcpkit.modfunc import _gamma2_tau, j_tau, required_precision
+from hcpkit.modpoly import modular_polynomial
 from hcpkit.quadforms import class_number, reduced_forms
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -289,6 +291,30 @@ def test_pinned_digests_of_every_non_fundamental_discriminant(monkeypatch):
     assert attempts == discriminants
 
 
+# W_D at -2999 (h = 73) and -12500 (h = 50), j at -2991 (h = 48) and
+# -9375 (h = 50): the largest class numbers on each route
+TOP_BAND = (-2999, -2991, -12500, -9375)
+
+
+def test_top_band_rounds_at_its_first_precision_with_64_bits_to_spare(monkeypatch):
+    """Each H_D afresh at its first precision, and every coefficient that
+    round_real_coeffs sees within 2^-64 of an integer."""
+    refs = load_refs()["hd"]
+    residuals = []
+    rounding = classpoly.round_real_coeffs
+
+    def watched(coeffs, real_roots, prec):
+        residuals.extend(abs(c - mp.nint(c)) for c in coeffs)
+        return rounding(coeffs, real_roots, prec)
+
+    monkeypatch.setattr(classpoly, "round_real_coeffs", watched)
+    polys, attempts, _ = assemble_afresh(monkeypatch, TOP_BAND)
+    assert [D % 3 != 0 for D in TOP_BAND] == [True, False, True, False]
+    assert [digest(poly.coeffs) for poly in polys] == [refs[str(D)] for D in TOP_BAND]
+    assert attempts == list(TOP_BAND)
+    assert max(residuals) < mp.ldexp(1, -64)
+
+
 def test_every_fresh_h_d_passes_one_deuring_check(monkeypatch):
     """The check runs once on every H_D assembled afresh, on what is returned."""
     polys, _, checks = assemble_afresh(monkeypatch, FUNDAMENTAL_TO_1000)
@@ -328,6 +354,43 @@ def test_a_wrong_h_d_fails_the_deuring_check(monkeypatch, tmp_path, D):
             continue
         passed.append(fault)
     assert passed == []
+
+
+def p_divides_conductor(D: int, p: int) -> bool:
+    return D % (p * p) == 0 and is_discriminant(D // (p * p))
+
+
+def sympy_h(D: int, var):
+    return sympy.Poly(list(reversed(hilbert_class_polynomial(D).coeffs)), var, domain="ZZ")
+
+
+# (D, p) for H_{D p^2}: p does not divide the conductor f of D in the first
+# seven, and does in the rest; -375 -> -9375 and -500 -> -12500 are
+# hd_cold's power discriminants. D_K = -3 and -4 are left out: the identity
+# needs their unit index as well.
+ISOGENY_STEPS = [
+    (-7, 3), (-20, 3), (-23, 2), (-15, 2), (-20, 5), (-15, 5), (-31, 7),
+    (-375, 5), (-500, 5), (-63, 3), (-567, 3),
+]
+
+
+@pytest.mark.parametrize("D,p", ISOGENY_STEPS, ids=[f"{D}-{p}" for D, p in ISOGENY_STEPS])
+def test_phi_p_resultant_gives_h_of_d_p_squared(D, p):
+    """Up to sign, Res_Y(Phi_p(X, Y), H_D(Y)) = H_{Dp^2}(X) H_D(X)^(1 + (D/p))
+    when p does not divide f. When it does, with D' = D/p^2, the second
+    factor is H_{D'}(X)^e, with e = p - (D'/p) if p does not divide f(D')
+    and e = p if it does. An exact check of H_{Dp^2}, off the
+    floating-point path."""
+    X, Y = sympy.symbols("X Y")
+    phi = sum(c * X**i * Y**j for (i, j), c in modular_polynomial(p).coeffs.items())
+    res = sympy.Poly(sympy.resultant(phi, sympy_h(D, Y).as_expr(), Y), X)
+    if p_divides_conductor(D, p):
+        parent = D // (p * p)
+        e = p if p_divides_conductor(parent, p) else p - kronecker(parent, p)
+    else:
+        parent, e = D, 1 + kronecker(D, p)
+    expected = sympy_h(D * p * p, X) * sympy_h(parent, X) ** e
+    assert res in (expected, -expected)
 
 
 H_M15 = IntPolynomial((-121287375, 191025, 1))

@@ -83,6 +83,13 @@ class TestFieldConstruction:
         with pytest.raises(ValueError):
             field.from_encoding(-1)
 
+    def test_element_rejects_non_integer_coordinates(self):
+        # a float would otherwise be truncated to 3
+        field = fq_context(5, 1)
+        with pytest.raises(TypeError):
+            field.element([3.9])
+        assert field.element([True]) == field.one()
+
     def test_prime_subfield_embedding(self):
         field = fq_context(7, 2)
         for n in range(7):
@@ -195,6 +202,11 @@ class TestPolynomials:
     def test_int_coefficients_coerced(self):
         field = fq_context(5, 1)
         assert FqPoly(field, [7, -1]) == FqPoly(field, [2, 4])
+
+    def test_non_integer_coefficients_rejected(self):
+        # a float would otherwise be truncated, making X + 2
+        with pytest.raises(TypeError):
+            FqPoly(fq_context(5, 1), [2.7, 1])
 
     def test_mixed_field_coefficients_rejected(self):
         f5 = fq_context(5, 1)
@@ -747,6 +759,21 @@ class TestMichelCounts:
                     continue
                 expected = roots_in(FqPoly(fq_context(p, 1), h.coeffs), 2)
                 assert list(michel_counts(D, p).items()) == expected, (D, p)
+
+    def test_each_factor_is_stripped_once(self, monkeypatch):
+        # ss_37 = (X - 8)(X^2 + 31X + 31): the quadratic factor has two
+        # conjugate roots in F_{37^2}, but its multiplicity is found once
+        hilbert_class_polynomial(-8)  # memoized, so no Deuring check strips below
+        strips = []
+        strip = hcpkit.finitefield._fp_strip
+
+        def counted(f, g, p):
+            strips.append((g, p))
+            return strip(f, g, p)
+
+        monkeypatch.setattr(hcpkit.finitefield, "_fp_strip", counted)
+        michel_counts(-8, 37)
+        assert strips == [((29, 1), 37), ((31, 31, 1), 37)]
 
     def test_non_supersingular_factor_raises(self, monkeypatch):
         # H_{-23} with its constant term moved by one has roots mod 5 that

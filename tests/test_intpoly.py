@@ -33,6 +33,12 @@ class TestConstruction:
         assert zero.degree == -1
         assert IntPolynomial((7,)).degree == 0
 
+    def test_non_integer_coefficients_rejected(self):
+        # a float would otherwise be truncated to (1, 2)
+        with pytest.raises(TypeError):
+            IntPolynomial((1.5, 2.9))
+        assert IntPolynomial((True, sympy.Integer(3))).coeffs == (1, 3)
+
 
 class TestRingOps:
     @given(coeff_lists, coeff_lists)

@@ -10,7 +10,6 @@ import pytest
 from hcpkit import classpoly
 from hcpkit.classpoly import hilbert_class_polynomial
 from hcpkit.errors import PrecisionExhausted
-from hcpkit.quadforms import reduced_forms
 from hcpkit.modfunc import _gamma2_tau, _height_bits, _pentagonal, j_tau, required_precision
 
 
@@ -20,13 +19,13 @@ def close(value, target, prec_bits):
 
 class TestRequiredPrecision:
     def test_frozen_values(self):
-        assert required_precision(-3) == 80
-        assert required_precision(-4) == 82
-        assert required_precision(-15) == 107
+        assert required_precision(-3) == 72
+        assert required_precision(-4) == 74
+        assert required_precision(-15) == 91
 
     def test_height_bits_is_the_bound_inside(self):
         for D in (-3, -4, -15, -23, -2999):
-            assert required_precision(D) == _height_bits(D) + 64 + 8 * len(reduced_forms(D))
+            assert required_precision(D) == _height_bits(D) + 64
 
     def test_grows_with_discriminant(self):
         values = [required_precision(D) for D in (-3, -23, -71, -471, -971)]
@@ -263,7 +262,7 @@ class TestGamma2:
         # 3 does not divide 23: W_{-23} starts at a third of the height bound
         (
             lambda cache_dir: hilbert_class_polynomial(-23, cache_dir),
-            -(-_height_bits(-23) // 3) + 64 + 8 * 3,
+            -(-_height_bits(-23) // 3) + 64,
         ),
         (lambda cache_dir: hilbert_class_polynomial(-23, cache_dir, prec_bits=200), 200),
     ],

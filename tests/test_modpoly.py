@@ -59,6 +59,11 @@ class TestContainer:
         poly = BivarIntPolynomial({(0, 0): 0, (1, 2): 0, (2, 1): 5})
         assert poly.coeffs == {(2, 1): 5}
 
+    def test_non_integer_coefficients_rejected(self):
+        with pytest.raises(TypeError):
+            BivarIntPolynomial({(1, 0): 2.5})
+        assert BivarIntPolynomial({(1, 0): True}).coeffs == {(1, 0): 1}
+
     def test_empty_poly_conventions(self):
         zero = BivarIntPolynomial({})
         assert zero.degree_x == -1
