@@ -2,7 +2,7 @@
 
 When 3 does not divide D, Weber's gamma2 = j^(1/3) is a class invariant
 (Cox, Primes of the form x^2 + ny^2, section 12): its class polynomial
-W_D, the product of (X - zeta3^k gamma2(tau)) over the reduced forms, is
+W_D, the product of (X - gamma2(tau - k)) over the reduced forms, is
 in Z[X] with a third of H_D's coefficient bits, and H_D follows from it
 exactly in integers (_w_to_h). For 3 | D the product is of (T - j(tau))
 itself. Either product is assembled at a working precision with every
@@ -41,7 +41,7 @@ from .arith import is_discriminant, is_prime, kronecker
 from .errors import CapExceeded, CorruptCache, PrecisionExhausted, VerificationFailed
 from .finitefield import _verify_deuring
 from .intpoly import IntPolynomial
-from .modfunc import MP_LOCK, _gamma2_tau, _height_bits, j_tau, required_precision
+from .modfunc import _MARGIN_BITS, MP_LOCK, _gamma2_tau, _height_bits, j_tau
 from .quadforms import class_number, reduced_forms, unit_group_order
 
 MAX_RETRIES = 3
@@ -90,11 +90,12 @@ def round_real_coeffs(coeffs, real_roots, prec: int) -> list[int] | None:
 
 
 def _zeta3_exponent(a: int, b: int, c: int) -> int:
-    """k with zeta3^k gamma2(tau) the class invariant of the reduced form (a, b, c).
+    """The shift k with gamma2(tau - k) the class invariant of the reduced form (a, b, c).
 
     gamma2 is a class invariant at forms [A, B, C] with 3 not dividing A
-    and 3 dividing B; gamma2(tau - k) = zeta3^k gamma2(tau) shifts B by 2Ak,
-    and gamma2(-1/tau) = gamma2(tau) turns (a, b, c) into (c, -b, a).
+    and 3 dividing B; tau - k shifts B by 2Ak, with
+    gamma2(tau - k) = zeta3^k gamma2(tau), and gamma2(-1/tau) = gamma2(tau)
+    turns (a, b, c) into (c, -b, a).
     """
     if a % 3:
         return a * b % 3  # b + 2ak = 0 mod 3
@@ -122,14 +123,13 @@ def _assemble(D: int, prec: int) -> IntPolynomial | None:
     gamma2 = D % 3 != 0
     with MP_LOCK, mp.workprec(prec + 32):
         sqrt_abs_d = mp.sqrt(-D)
-        zeta3 = (mp.mpc(1), mp.mpc(-0.5, mp.sqrt(3) / 2), mp.mpc(-0.5, -mp.sqrt(3) / 2))
         factors, real_roots = [], []
         for f in forms:
             if f.b < 0:
                 continue  # the root of (a, -b, c) is the conjugate of (a, b, c)'s
             tau = mp.mpc(mp.mpf(-f.b) / (2 * f.a), sqrt_abs_d / (2 * f.a))
             if gamma2:
-                x = zeta3[_zeta3_exponent(*f)] * _gamma2_tau(tau, prec)
+                x = _gamma2_tau(tau - _zeta3_exponent(*f), prec)
             else:
                 x = j_tau(tau, prec)
             re, im = mp.re(x), mp.im(x)
@@ -151,15 +151,12 @@ def _assemble(D: int, prec: int) -> IntPolynomial | None:
 
 
 def _start_precision(D: int) -> int:
-    """The ladder's first precision: required_precision(D), the height bound
-    B plus 64 bits of margin, on the j route, and on the W_D route, whose
-    coefficients have a third of H_D's bits, the same margin over ceil(B/3).
-    Neither adds a per-degree term."""
-    prec = required_precision(D)
-    if D % 3 == 0:
-        return prec
+    """The ladder's first precision: the height bound B = _height_bits(D),
+    or ceil(B/3) on the W_D route, whose coefficients have a third of H_D's
+    bits, plus _MARGIN_BITS; on the j route that is required_precision(D).
+    B is evaluated once, and neither route adds a per-degree term."""
     bits = _height_bits(D)
-    return prec - bits + -(-bits // 3)
+    return (bits if D % 3 == 0 else -(-bits // 3)) + _MARGIN_BITS
 
 
 def hilbert_class_polynomial(

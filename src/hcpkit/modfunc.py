@@ -1,20 +1,19 @@
-"""j and gamma2 = j^(1/3) at CM points, the numeric input of the class polynomials.
+"""gamma2 = j^(1/3) and j at CM points, the numeric input of the class polynomials.
 
-Both are evaluated by Weber's relations under an explicit working
-precision: callers state the target precision in bits and receive an
-mpmath complex value carrying a 32-bit internal guard. q = exp(2 pi i tau)
-(for gamma2, q^(1/3), whose cube is q) and the final rational steps from
-Weber's function to j or gamma2 are mpmath numbers, so q keeps its
-relative precision however small it is. The one q-product,
-prod(1+q^n), is a quotient of two of Euler's pentagonal series, and
-those series, the quotient and its 8th and 24th powers run on
-fixed-point Python ints with a guard derived from the term count
-(_r_powers, shared by both evaluators): a value costs O(sqrt(N)) complex
-products for N terms of the product, with none of mpmath's
-per-operation overhead. classpoly turns these values into H_D.
-mpmath's global context is not thread safe, so every precision-scoped
-block takes a module lock; at desk scale the interpreter lock
-serializes this work anyway.
+One evaluator, _gamma2_tau, computes Weber's gamma2 under an explicit
+working precision; j_tau is its cube (j = gamma2^3 identically). Callers
+state the target precision in bits and receive an mpmath complex value
+carrying a 32-bit internal guard. q^(1/3) = exp(2 pi i tau/3), its cube
+q and the closing rational step from Weber's function to gamma2 are
+mpmath numbers, so q keeps its relative precision however small it is.
+The one q-product, prod(1+q^n), is a quotient of two of Euler's
+pentagonal series, and those series, the quotient and its 8th and 24th
+powers run on fixed-point Python ints with a guard derived from the
+term count (_r_powers): a value costs O(sqrt(N)) complex products for N
+terms of the product, with none of mpmath's per-operation overhead.
+classpoly turns these values into H_D. mpmath's global context is not
+thread safe, so every precision-scoped block takes a module lock; at
+desk scale the interpreter lock serializes this work anyway.
 """
 
 from __future__ import annotations
@@ -29,6 +28,10 @@ from .quadforms import inv_a_sum
 
 MP_LOCK = threading.RLock()
 
+# Bits of margin over the height bound, whatever the degree (required_precision
+# and classpoly's start of the retry ladder).
+_MARGIN_BITS = 64
+
 
 def _height_bits(D: int) -> int:
     """B = ceil(pi*sqrt(|D|)/ln 2 * sum(1/a)), which bounds the bits of H_D's largest coefficient."""
@@ -41,10 +44,10 @@ def _height_bits(D: int) -> int:
 def required_precision(D: int) -> int:
     """Working precision in bits for assembling the degree-h(D) product.
 
-    _height_bits(D) bounds the dominant coefficient size, and 64 bits of
-    margin guard the rounding, whatever the degree.
+    _height_bits(D) bounds the dominant coefficient size, and
+    _MARGIN_BITS = 64 bits of margin guard the rounding, whatever the degree.
     """
-    return _height_bits(D) + 64
+    return _height_bits(D) + _MARGIN_BITS
 
 
 def _cmul(ar: int, ai: int, br: int, bi: int, shift: int) -> tuple[int, int]:
@@ -103,17 +106,6 @@ def _pentagonal(qr: int, qi: int, bits: int, nmax: int):
     return er, ei, sr, si
 
 
-def _check_args(tau, prec_bits: int):
-    """tau as an mpc and its imaginary part; call at the working precision."""
-    if prec_bits < 64:
-        raise ValueError("prec_bits must be >= 64")
-    t = mp.mpc(tau)
-    im = mp.im(t)
-    if not im > 0.4:
-        raise ValueError("Im(tau) must exceed 0.4")
-    return t, im
-
-
 def _r_powers(q, im, prec_bits: int) -> tuple[mpmath.mpc, mpmath.mpc]:
     """r^8 and r^24 for r = prod(1+q^n) = E(q^2)/E(q), q = exp(2 pi i tau).
 
@@ -149,34 +141,28 @@ def _r_powers(q, im, prec_bits: int) -> tuple[mpmath.mpc, mpmath.mpc]:
 
 
 def j_tau(tau, prec_bits: int) -> mpmath.mpc:
-    """j(tau) = (x + 16)^3 / x with x = f2(tau)^24, q = exp(2 pi i tau).
+    """j(tau) = gamma2(tau)^3, from _gamma2_tau at prec_bits + 2, cubed at prec_bits + 32 bits.
 
-    Weber's f2^24 = 2^12 q r^24 with r = prod(1+q^n) = E(q^2)/E(q).
-    q, x and j are mpmath numbers at prec_bits + 32 bits, so q keeps its
-    full relative precision however small it is. The two pentagonal
-    series, the quotient r and r^24 run on complex fixed-point ints at
-    prec_bits + 32 + g bits (_r_powers); the series truncate once
-    |q|^n < 2^-(prec_bits+32). Requires Im(tau) > 0.4 (callers supply
-    near-reduced arguments, and |q| is then below exp(-0.8 pi) < 1/12)
-    and prec_bits >= 64. Absolute error is within
-    2^-(prec_bits-8)*max(1, |j|).
+    Requires Im(tau) > 0.4 and prec_bits >= 62. Absolute error is within
+    2^-(prec_bits-8)*max(1, |j|): gamma2 is within e max(1, |gamma2|) with
+    e = 2^-(prec_bits-6), so its cube is within 3e(1 + e)^2 max(1, |j|), and
+    the rounding of the two products keeps the sum below 4e max(1, |j|).
     """
     with MP_LOCK, mp.workprec(prec_bits + 32):
-        t, im = _check_args(tau, prec_bits)
-        q = mp.exp(2j * mp.pi * t)
-        x = 4096 * q * _r_powers(q, im, prec_bits)[1]
-        y = x + 16
-        return y * y * y / x
+        g = _gamma2_tau(tau, prec_bits + 2)
+        return g * g * g
 
 
 def _gamma2_tau(tau, prec_bits: int) -> mpmath.mpc:
     """Weber's gamma2(tau) = (f2^24 + 16)/f2^8, the cube root of j(tau).
 
-    With f2^8 = 16 q^(1/3) r^8 this is (256 q r^24 + 1)/(q^(1/3) r^8):
-    the one exp computes q^(1/3) = exp(2 pi i tau/3), and q is its cube.
-    gamma2(tau + 1) = zeta3^-1 gamma2(tau) and gamma2(-1/tau) = gamma2(tau),
-    with zeta3 = exp(2 pi i/3). Same requirements as j_tau. Absolute error
-    is within 2^-(prec_bits-8)*max(1, |gamma2|).
+    With f2^8 = 16 q^(1/3) r^8 and r = prod(1+q^n) = E(q^2)/E(q), this is
+    (256 q r^24 + 1)/(q^(1/3) r^8): the one exp computes
+    q^(1/3) = exp(2 pi i tau/3), q is its cube, and r^8 and r^24 run on
+    fixed-point ints (_r_powers). gamma2(tau - k) = zeta3^k gamma2(tau) and
+    gamma2(-1/tau) = gamma2(tau), with zeta3 = exp(2 pi i/3). Requires
+    Im(tau) > 0.4 (|q| is then below exp(-0.8 pi) < 1/12) and prec_bits >= 64.
+    Absolute error is within 2^-(prec_bits-8)*max(1, |gamma2|).
     """
     # Error, with P = prec_bits + 32. Let e bound the relative errors of
     # q^(1/3), q, r^8 and r^24: below 2^-P for the r powers (_r_powers),
@@ -185,8 +171,13 @@ def _gamma2_tau(tau, prec_bits: int) -> mpmath.mpc:
     # where 256 |q|^(2/3) |r|^16 < 2^8 (|q| < 1/12, |r| < 1.1) and
     # 1/|q^(1/3) r^8| <= |gamma2| + 2^8; the quotient adds 3e |gamma2|. The
     # sum is below 2^12 e max(1, |gamma2|), inside the bound while e < 2^(28-P).
+    if prec_bits < 64:
+        raise ValueError("prec_bits must be >= 64")
     with MP_LOCK, mp.workprec(prec_bits + 32):
-        t, im = _check_args(tau, prec_bits)
+        t = mp.mpc(tau)
+        im = mp.im(t)
+        if not im > 0.4:
+            raise ValueError("Im(tau) must exceed 0.4")
         q3 = mp.exp(2j * mp.pi * t / 3)
         q = q3 * q3 * q3
         r8, r24 = _r_powers(q, im, prec_bits)

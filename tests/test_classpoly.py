@@ -30,7 +30,7 @@ from hcpkit.errors import CapExceeded, CorruptCache, PrecisionExhausted, Verific
 from hcpkit.intpoly import IntPolynomial
 from hcpkit.modfunc import _gamma2_tau, j_tau, required_precision
 from hcpkit.modpoly import modular_polynomial
-from hcpkit.quadforms import class_number, reduced_forms
+from hcpkit.quadforms import class_number, reduced_forms, unit_group_order
 
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
@@ -364,32 +364,47 @@ def sympy_h(D: int, var):
     return sympy.Poly(list(reversed(hilbert_class_polynomial(D).coeffs)), var, domain="ZZ")
 
 
-# (D, p) for H_{D p^2}: p does not divide the conductor f of D in the first
-# seven, and does in the rest; -375 -> -9375 and -500 -> -12500 are
-# hd_cold's power discriminants. D_K = -3 and -4 are left out: the identity
-# needs their unit index as well.
+# (D, p) for H_{D p^2}. The first eleven: p does not divide the conductor f
+# of D in the first seven, and does in the rest; -375 -> -9375 and -500 ->
+# -12500 are hd_cold's power discriminants. Then every step of acceptance
+# #2's grid (D_K in {-3, -4, -7, -8, -11, -15, -20}, p in {2, 3, 5, 7})
+# with h(Dp^2) <= 30, and -4 -> -16, which the grid skips because 4 | D.
 ISOGENY_STEPS = [
     (-7, 3), (-20, 3), (-23, 2), (-15, 2), (-20, 5), (-15, 5), (-31, 7),
     (-375, 5), (-500, 5), (-63, 3), (-567, 3),
+    (-3, 2), (-12, 2), (-3, 3), (-27, 3), (-3, 5), (-75, 5), (-3, 7), (-147, 7),
+    (-4, 2), (-4, 3), (-36, 3), (-4, 5), (-100, 5), (-4, 7), (-196, 7),
+    (-7, 2), (-28, 2), (-7, 5), (-175, 5), (-7, 7),
+    (-8, 3), (-72, 3), (-8, 5), (-200, 5), (-8, 7),
+    (-11, 2), (-44, 2), (-11, 3), (-99, 3), (-11, 5), (-275, 5), (-11, 7),
+    (-60, 2), (-15, 3), (-135, 3), (-15, 7), (-180, 3), (-20, 7),
 ]
 
 
 @pytest.mark.parametrize("D,p", ISOGENY_STEPS, ids=[f"{D}-{p}" for D, p in ISOGENY_STEPS])
 def test_phi_p_resultant_gives_h_of_d_p_squared(D, p):
-    """Up to sign, Res_Y(Phi_p(X, Y), H_D(Y)) = H_{Dp^2}(X) H_D(X)^(1 + (D/p))
-    when p does not divide f. When it does, with D' = D/p^2, the second
-    factor is H_{D'}(X)^e, with e = p - (D'/p) if p does not divide f(D')
-    and e = p if it does. An exact check of H_{Dp^2}, off the
-    floating-point path."""
+    """Up to sign, Res_Y(Phi_p(X, Y), H_D(Y)) = H_{Dp^2}(X)^(u(D)/2)
+    H_D(X)^(1 + (D/p)) when p does not divide f, with u the unit group
+    order. When it does, with D' = D/p^2, it is H_{Dp^2}(X) H_{D'}(X)^e,
+    with e = p if p divides f(D') and e = (p - (D'/p)) / (u(D')/2) if
+    not. u/2 is 1 except at D = -3 (3) and -4 (2). An exact check of
+    H_{Dp^2}, off the floating-point path."""
     X, Y = sympy.symbols("X Y")
     phi = sum(c * X**i * Y**j for (i, j), c in modular_polynomial(p).coeffs.items())
     res = sympy.Poly(sympy.resultant(phi, sympy_h(D, Y).as_expr(), Y), X)
     if p_divides_conductor(D, p):
         parent = D // (p * p)
-        e = p if p_divides_conductor(parent, p) else p - kronecker(parent, p)
+        if p_divides_conductor(parent, p):
+            e = p
+        else:
+            e, rest = divmod(p - kronecker(parent, p), unit_group_order(parent) // 2)
+            assert rest == 0
+        expected = sympy_h(D * p * p, X) * sympy_h(parent, X) ** e
     else:
-        parent, e = D, 1 + kronecker(D, p)
-    expected = sympy_h(D * p * p, X) * sympy_h(parent, X) ** e
+        expected = (
+            sympy_h(D * p * p, X) ** (unit_group_order(D) // 2)
+            * sympy_h(D, X) ** (1 + kronecker(D, p))
+        )
     assert res in (expected, -expected)
 
 

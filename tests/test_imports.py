@@ -1,6 +1,7 @@
 """Every module-level import and function in the library is used, modpoly
 uses no floats, only finitefield knows how F_q elements and polynomials are
-stored, and only classpoly gives up on precision."""
+stored, only classpoly gives up on precision, and one function evaluates
+the q-series."""
 
 from __future__ import annotations
 
@@ -148,3 +149,38 @@ def test_detects_a_raised_exception():
 def test_only_classpoly_raises_precision_exhausted(path):
     """The retry ladder lives in classpoly; modfunc only evaluates j."""
     assert "PrecisionExhausted" not in raised_names(path.read_text())
+
+
+def exp_call_sites(sources: dict[str, str]) -> list[str]:
+    """module.function for each call of mp.exp, by the top-level function
+    that holds it, or by the module alone at top level."""
+    sites = []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            where = module
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where = f"{module}.{stmt.name}"
+            sites.extend(
+                where
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "exp"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "mp"
+            )
+    return sites
+
+
+def test_detects_every_exp_call_site():
+    sources = {
+        "a": "def f(t):\n    return mp.exp(t) * mp.exp(-t)\n\nx = mp.exp(1)\n",
+        "b": "def g(t):\n    return math.exp(t) + mp.expm1(t) + mp.ldexp(t, 2)\n",
+    }
+    assert exp_call_sites(sources) == ["a.f", "a.f", "a"]
+
+
+def test_one_evaluator_calls_exp():
+    """j is gamma2 cubed: q = exp(2 pi i tau) is made in _gamma2_tau alone."""
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert exp_call_sites(sources) == ["modfunc._gamma2_tau"]

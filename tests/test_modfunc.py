@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import mpmath as mp
 import pytest
 
-from hcpkit import classpoly
+from hcpkit import classpoly, modfunc
 from hcpkit.classpoly import hilbert_class_polynomial
 from hcpkit.errors import PrecisionExhausted
 from hcpkit.modfunc import _gamma2_tau, _height_bits, _pentagonal, j_tau, required_precision
@@ -212,13 +212,13 @@ class TestGamma2:
     @pytest.mark.parametrize("tau", TAUS, ids=TAU_IDS)
     @pytest.mark.parametrize("prec", [96, 160, 1024, 4096])
     def test_cube_is_j_within_the_documented_bounds(self, tau, prec):
-        # errors e max(1, |g|) in g and e max(1, |j|) in j, e = 2^-(prec-8),
-        # put g^3 within 3e max(1, |g|)^3 of j's value and j_tau within e max(1, |j|)
+        # j_tau is g^3, so j is mpmath's kleinj: an error e max(1, |g|) in g,
+        # e = 2^-(prec-8), puts g^3 within 3e(1 + e)^2 max(1, |g|)^3 of j
         with mp.workprec(prec + 40):
             t = tau()
             g = _gamma2_tau(t, prec)
             bound = 4 * mp.ldexp(1, -(prec - 8)) * max(1, abs(g)) ** 3
-            assert abs(g**3 - j_tau(t, prec)) <= bound
+            assert abs(g**3 - 1728 * mp.kleinj(t)) <= bound
 
     @pytest.mark.parametrize("tau", TAUS[1:], ids=TAU_IDS[1:])
     @pytest.mark.parametrize("prec", [96, 160, 1024, 4096])
@@ -233,13 +233,15 @@ class TestGamma2:
             bound = mp.ldexp(1, -(prec - 8)) * max(1, abs(target))
             assert abs(value - target) <= mp.ldexp(bound, -32)
 
-    def test_period_three_up_to_a_cube_root_of_unity(self):
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_period_three_up_to_a_cube_root_of_unity(self, k):
+        # gamma2(tau - k) = zeta3^k gamma2(tau), the shift classpoly._assemble takes
         prec = 128
         with mp.workprec(prec + 10):
             tau = mp.mpc(0.23, 1.31)
             a = _gamma2_tau(tau, prec)
-            b = _gamma2_tau(tau + 1, prec)
-            assert abs(b - a * mp.exp(-2j * mp.pi / 3)) <= mp.ldexp(1, -(prec - 16)) * abs(a)
+            b = _gamma2_tau(tau - k, prec)
+            assert abs(b - a * mp.exp(2j * mp.pi * k / 3)) <= mp.ldexp(1, -(prec - 16)) * abs(a)
 
     def test_inversion_symmetry(self):
         prec = 128
@@ -279,3 +281,15 @@ def test_retry_ladder_exhausts(monkeypatch, tmp_path, build, p0):
     assert tried == [p0, 2 * p0, 4 * p0, 8 * p0]
     assert -23 not in classpoly._memo
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("D", [-23, -15], ids=["W_D", "j"])
+def test_one_height_bound_per_fresh_h_d(monkeypatch, D):
+    """A fresh H_D evaluates _height_bits once, on either route; each
+    evaluation calls inv_a_sum once."""
+    calls = []
+    inv_a_sum = modfunc.inv_a_sum
+    monkeypatch.setattr(modfunc, "inv_a_sum", lambda key: calls.append(key) or inv_a_sum(key))
+    monkeypatch.setattr(classpoly, "_memo", {})
+    hilbert_class_polynomial(D)
+    assert calls == [D]
